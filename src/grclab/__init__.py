@@ -34,6 +34,7 @@ from .risk import (
     L2RCL,
     OCL,
     MonteCarloEstimate,
+    Replications,
     RiskWeighting,
     conditional_risk,
     conditional_risk_joint,

@@ -29,18 +29,21 @@ from .oracle import EnumerationBudget, binomial_mixed_moment, binomial_pmf, exac
 from .regularizers import (
     Regularizer,
     corollary3_regularizer,
-    onehot_frequency,
     topk_spectrum_regularizer,
     zero_regularizer,
 )
 from .risk import (
     GRCL,
+    Frequency,
     Joint,
     L2RCL,
     OCL,
+    Replications,
+    Sketch,
+    TopK,
+    check_algorithm,
     monte_carlo_expected_excess,
-    sketch_builder,
-    topk_builder,
+    worker_count,
 )
 
 CSV_HEADER = (
@@ -60,7 +63,7 @@ class AlgorithmSpec:
     label: str
     kind: str  # ocl | l2rcl | grcl | joint
     gamma: float | None = None
-    reg_kind: str | None = None  # topk | freq | cor3 | sketch
+    reg_kind: str | None = None  # topk | freq | sketch
     reg_k: int | None = None
 
     def algorithm(self, k_override: int | None = None):
@@ -72,12 +75,10 @@ class AlgorithmSpec:
             return L2RCL(gamma=self.gamma)
         k = self.reg_k if k_override is None else k_override
         if self.reg_kind == "topk":
-            return GRCL(builder=topk_builder(k))
+            return GRCL(builder=TopK(k))
         if self.reg_kind == "sketch":
-            return GRCL(builder=sketch_builder(k))
-        if self.reg_kind == "freq":
-            return GRCL(builder=lambda x1, seed: onehot_frequency(x1, 1))
-        raise ConfigParse(f"grcl regularizer kind {self.reg_kind!r} has no builder")
+            return GRCL(builder=Sketch(k))
+        return GRCL(builder=Frequency())
 
     def csv_k(self, k_override: int | None = None):
         if self.kind != "grcl":
@@ -100,8 +101,8 @@ def parse_algorithm_spec(token: str) -> AlgorithmSpec:
             gamma = float(parts[1])
         except ValueError as exc:
             raise ConfigParse(f"bad gamma in {token!r}") from exc
-        if gamma <= 0:
-            raise ConfigParse(f"gamma must be positive in {token!r}")
+        if not (0 < gamma < math.inf):
+            raise ConfigParse(f"gamma must be positive and finite in {token!r}")
         return AlgorithmSpec(label=f"l2rcl:{parts[1]}", kind=kind, gamma=gamma)
     if kind == "grcl":
         if len(parts) < 2:
@@ -117,7 +118,7 @@ def parse_algorithm_spec(token: str) -> AlgorithmSpec:
             return AlgorithmSpec(
                 label=f"grcl:{reg_kind}:{reg_k}", kind=kind, reg_kind=reg_kind, reg_k=reg_k
             )
-        if reg_kind in ("freq", "cor3"):
+        if reg_kind == "freq":
             if len(parts) != 2:
                 raise ConfigParse(f"{reg_kind} takes no k: {token!r}")
             return AlgorithmSpec(label=f"grcl:{reg_kind}", kind=kind, reg_kind=reg_kind)
@@ -256,7 +257,7 @@ def _theory_columns(spec: AlgorithmSpec, inst: ProblemInstance, n: int,
             rep = theory.grcl_theory_one_hot(
                 inst, topk_spectrum_regularizer(inst.g, k), n
             )
-        elif spec.kind == "grcl" and spec.reg_kind in ("freq", "cor3"):
+        elif spec.kind == "grcl" and spec.reg_kind == "freq":
             rep = theory.grcl_theory_one_hot(inst, corollary3_regularizer(inst.g, n), n)
         else:
             return "", ""
@@ -265,9 +266,10 @@ def _theory_columns(spec: AlgorithmSpec, inst: ProblemInstance, n: int,
     return _fmt(rep.bias_surrogate), _fmt(rep.variance_surrogate)
 
 
-def _sweep_row(spec: AlgorithmSpec, inst, n, reps, seed, k_override=None) -> str:
+def _sweep_row(spec: AlgorithmSpec, shared: Replications, k_override=None) -> str:
+    inst, n, reps = shared.inst, shared.n, shared.reps
     estimate, decomp = monte_carlo_expected_excess(
-        inst, spec.algorithm(k_override), n, reps, seed
+        inst, spec.algorithm(k_override), n, reps, shared.seed, replications=shared
     )
     th_bias, th_var = _theory_columns(spec, inst, n, k_override)
     cells = (
@@ -285,32 +287,58 @@ def _sweep_row(spec: AlgorithmSpec, inst, n, reps, seed, k_override=None) -> str
     return ",".join(cells)
 
 
+def _check_cells(inst: ProblemInstance, cells) -> None:
+    """Reject a sweep any (algorithm, n, k) cell of which cannot run.
+
+    Runs before the first draw, so a bad config costs no compute and
+    leaves no partial CSV.
+    """
+    worker_count()
+    for spec, n, k_override in cells:
+        label = spec.label if k_override is None else f"grcl:{spec.reg_kind}:{k_override}"
+        try:
+            check_algorithm(spec.algorithm(k_override), inst, n)
+        except GrclabError as exc:
+            raise ConfigParse(f"{label} at n={n}: {exc}") from exc
+
+
 def run_sweep_n(config: ExperimentConfig) -> str:
-    """Excess risk of each configured algorithm across the sample-size grid."""
+    """Excess risk of each configured algorithm across the sample-size grid.
+
+    Loops over n first so that every algorithm at one n shares the
+    replications drawn for it; rows are written algorithm by algorithm.
+    """
     if not config.n_values:
         raise ConfigParse("sweep-n needs a nonempty n_values list")
-    lines = [CSV_HEADER]
-    for spec in config.algorithms:
-        for n in config.n_values:
-            lines.append(_sweep_row(spec, config.instance, n, config.reps, config.seed))
+    _check_cells(config.instance, [(s, n, None) for s in config.algorithms for n in config.n_values])
+    rows = {}
+    for j, n in enumerate(config.n_values):
+        shared = Replications(config.instance, n, config.reps, config.seed)
+        for i, spec in enumerate(config.algorithms):
+            rows[i, j] = _sweep_row(spec, shared)
+    lines = [CSV_HEADER] + [
+        rows[i, j] for i in range(len(config.algorithms)) for j in range(len(config.n_values))
+    ]
     _write_lines(config.output_path, lines)
     return config.output_path
 
 
 def run_sweep_k(config: ExperimentConfig) -> str:
-    """Memory sweep at fixed n: one GRCL row per k, plus ocl/joint baselines."""
+    """Memory sweep at fixed n: one GRCL row per k, plus ocl/joint baselines.
+
+    All rows share one set of replications.
+    """
     if not config.k_values:
         raise ConfigParse("sweep-k needs a nonempty k_values list")
     grcl_specs = [s for s in config.algorithms if s.kind == "grcl"]
     base = grcl_specs[0] if grcl_specs else parse_algorithm_spec("grcl:topk:0")
     if base.reg_kind not in ("topk", "sketch"):
         raise ConfigParse("sweep-k needs a grcl regularizer with a k (topk or sketch)")
-    inst, n, reps, seed = config.instance, config.n, config.reps, config.seed
-    lines = [CSV_HEADER]
-    for k in config.k_values:
-        lines.append(_sweep_row(base, inst, n, reps, seed, k_override=k))
-    for label in ("ocl", "joint"):
-        lines.append(_sweep_row(parse_algorithm_spec(label), inst, n, reps, seed))
+    cells = [(base, config.n, k) for k in config.k_values]
+    cells += [(parse_algorithm_spec(label), config.n, None) for label in ("ocl", "joint")]
+    _check_cells(config.instance, cells)
+    shared = Replications(config.instance, config.n, config.reps, config.seed)
+    lines = [CSV_HEADER] + [_sweep_row(spec, shared, k) for spec, _, k in cells]
     _write_lines(config.output_path, lines)
     return config.output_path
 
@@ -470,7 +498,7 @@ def suite_oracle(instances: int = 10, reps: int = 10**4, seed: int = 7,
         algorithms = [
             OCL(),
             L2RCL(gamma=0.3),
-            GRCL(builder=lambda x1, seed: onehot_frequency(x1, 1)),
+            GRCL(builder=Frequency()),
             Joint(),
         ]
         for algorithm in algorithms:
@@ -651,11 +679,17 @@ def main(argv=None) -> int:
         print(report, end="")
         return code
     except ConfigParse as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"config error: {exc}")
+    except GrclabError as exc:
+        return _fail(f"error: {type(exc).__name__}: {exc}")
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"io error: {exc}")
+
+
+def _fail(message: str) -> int:
+    """Report a run that could not be done: one stderr line, exit code 2."""
+    print(" ".join(message.split()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

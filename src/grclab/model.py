@@ -103,8 +103,8 @@ class ProblemInstance:
             )
         if not np.all(np.isfinite(self.w_star)):
             raise DimensionMismatch("w_star entries must be finite")
-        if self.sigma2 < 0:
-            raise NegativeEigenvalue(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise NegativeEigenvalue(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
         if self.design is Design.ONE_HOT and not (self.g.one_hot and self.h.one_hot):
             raise OneHotMassMismatch(
                 "one-hot instances need one-hot spectra for both tasks"
@@ -153,10 +153,12 @@ class RiskDecomposition:
     def __post_init__(self):
         if self.total is None:
             object.__setattr__(self, "total", self.bias + self.variance)
-        if self.bias < 0 or self.variance < 0:
-            raise NegativeEigenvalue("bias and variance must be nonnegative")
+        if not (0 <= self.bias < math.inf and 0 <= self.variance < math.inf):
+            raise NegativeEigenvalue(
+                f"bias and variance must be finite and nonnegative, got {self.bias}, {self.variance}"
+            )
         scale = max(abs(self.total), self.bias + self.variance, 1e-300)
-        if abs(self.total - (self.bias + self.variance)) > 1e-10 * scale:
+        if not abs(self.total - (self.bias + self.variance)) <= 1e-10 * scale:
             raise DimensionMismatch("total must equal bias + variance")
 
 

@@ -91,16 +91,24 @@ def zero_regularizer(d: int) -> Regularizer:
     return Regularizer(form=LOWRANK, factor=np.zeros((0, d)))
 
 
+def check_topk_size(k: int, n: int, d: int) -> None:
+    """Raise unless a top-k memory of n samples in dimension d exists."""
+    if not (0 <= k <= min(n, d)):
+        raise KTooLarge(f"need 0 <= k <= min(n, d) = {min(n, d)}, got {k}")
+
+
 def topk_empirical(x1: np.ndarray, k: int) -> Regularizer:
     """Best rank-k PSD approximation of the empirical covariance X1^T X1 / n."""
     x1 = np.asarray(x1, dtype=float)
     n, d = x1.shape
-    if not (0 <= k <= min(n, d)):
-        raise KTooLarge(f"need 0 <= k <= min(n, d) = {min(n, d)}, got {k}")
+    check_topk_size(k, n, d)
     if k == 0:
         return zero_regularizer(d)
-    emp = x1.T @ x1 / n
-    eigvals, eigvecs = np.linalg.eigh(emp)
+    return topk_from_eigh(*np.linalg.eigh(x1.T @ x1 / n), k)
+
+
+def topk_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, k: int) -> Regularizer:
+    """Best rank-k PSD approximation of a symmetric matrix given its eigenpairs."""
     top = np.argsort(eigvals)[::-1][:k]
     w = np.clip(eigvals[top], 0.0, None)
     factor = np.sqrt(w)[:, None] * eigvecs[:, top].T

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampler
-from .errors import DimensionMismatch, NotPSD
+from .errors import ConfigParse, DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
 from .estimators import (
     DEFAULT_OPTIONS,
     NORMAL_PATH_MAX_D,
@@ -29,7 +29,15 @@ from .estimators import (
     eigen_cutoff_ratio,
 )
 from .model import Design, ProblemInstance, RiskDecomposition
-from .regularizers import Regularizer, sketch_regularizer, topk_empirical, zero_regularizer
+from .regularizers import (
+    Regularizer,
+    check_topk_size,
+    onehot_frequency,
+    sketch_regularizer,
+    topk_empirical,
+    topk_from_eigh,
+    zero_regularizer,
+)
 
 
 class RiskWeighting(enum.Enum):
@@ -49,6 +57,8 @@ class MonteCarloEstimate:
     replications: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_error)):
+            raise DimensionMismatch(f"non-finite estimate {self.mean}, {self.std_error}")
         if self.std_error < 0 or self.replications < 1:
             raise DimensionMismatch("need std_error >= 0 and replications >= 1")
 
@@ -107,33 +117,75 @@ def _sigma_as_regularizer(sigma, d: int) -> Regularizer:
     return Regularizer(form="lowrank", factor=factor)
 
 
-def _pinv_parts(sym: np.ndarray, cutoff_ratio: float):
-    """Eigendecomposition split of a PSD matrix into kept/dropped directions."""
-    eigvals, eigvecs = np.linalg.eigh(sym)
+def _split_spectrum(eigvals: np.ndarray, cutoff_ratio: float):
+    """Kept directions of a PSD spectrum and the pseudoinverse of its eigenvalues."""
     cutoff = cutoff_ratio * max(eigvals[-1], 0.0)
     keep = eigvals > cutoff
     inv = np.where(keep, 1.0 / np.maximum(eigvals, 1e-300), 0.0)
+    return inv, keep
+
+
+def _pinv_parts(sym: np.ndarray, cutoff_ratio: float):
+    """Eigendecomposition split of a PSD matrix into kept/dropped directions."""
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    inv, keep = _split_spectrum(eigvals, cutoff_ratio)
     return eigvals, eigvecs, inv, keep
 
 
-def _conditional_sequential_dense(x1, x2, inst, gamma_reg, weighting, opts):
-    n2, d = x2.shape
-    n_big = max(x1.shape[0], n2)
+class NormalMatrices:
+    """A1 = X1^T X1 and A2 = X2^T X2 of one pair of designs.
+
+    This is all the dense risk path needs of the designs, which are not
+    kept.  The eigendecompositions of A1 (for the first-phase fit) and of
+    A1 / n1 (for top-k memory, shared by every k) are made on first use,
+    so at most 4 d^2 floats are held.  Not safe for concurrent use.
+    """
+
+    __slots__ = ("a1", "a2", "n1", "n2", "_eig_a1", "_eig_cov1")
+
+    def __init__(self, a1: np.ndarray, a2: np.ndarray, n1: int, n2: int):
+        self.a1, self.a2, self.n1, self.n2 = a1, a2, n1, n2
+        self._eig_a1 = None
+        self._eig_cov1 = None
+
+    @classmethod
+    def of(cls, x1: np.ndarray, x2: np.ndarray) -> "NormalMatrices":
+        return cls(x1.T @ x1, x2.T @ x2, x1.shape[0], x2.shape[0])
+
+    def eigh_a1(self):
+        if self._eig_a1 is None:
+            self._eig_a1 = np.linalg.eigh(self.a1)
+        return self._eig_a1
+
+    def topk(self, k: int) -> Regularizer:
+        """The top-k memory of X1, same as ``topk_empirical(x1, k)``."""
+        d = self.a1.shape[0]
+        check_topk_size(k, self.n1, d)
+        if k == 0:
+            return zero_regularizer(d)
+        if self._eig_cov1 is None:
+            self._eig_cov1 = np.linalg.eigh(self.a1 / self.n1)
+        return topk_from_eigh(*self._eig_cov1, k)
+
+
+def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting, opts):
+    d = inst.d
+    n_big = max(normal.n1, normal.n2)
     cutoff = eigen_cutoff_ratio(opts.resolve(n_big, d), n_big, d)
     m = weight_vector(inst, weighting)
 
-    a1 = x1.T @ x1
-    _, v1, inv1, keep1 = _pinv_parts(a1, cutoff)
+    eigvals1, v1 = normal.eigh_a1()
+    inv1, keep1 = _split_spectrum(eigvals1, cutoff)
     # Null-space projection of the first task: symmetric, exact idempotent.
     v1_null = v1[:, ~keep1]
     p1w = v1_null @ (v1_null.T @ inst.w_star)
 
-    sigma_mat = gamma_reg.matrix()
-    a2 = x2.T @ x2
-    s = a2 + n2 * sigma_mat
+    a2 = normal.a2
+    s = a2 + normal.n2 * reg.matrix()
     _, vs, invs, _ = _pinv_parts(s, cutoff)
     splus = (vs * invs) @ vs.T
-    q = np.eye(d) - splus @ a2
+    splus_a2 = splus @ a2
+    q = np.eye(d) - splus_a2
 
     b = q @ p1w
     bias = float(m @ (b * b))
@@ -142,10 +194,22 @@ def _conditional_sequential_dense(x1, x2, inst, gamma_reg, weighting, opts):
     a1_half = v1 * np.sqrt(inv1)
     qa = q @ a1_half
     var1 = float(m @ np.einsum("ij,ij->i", qa, qa))
-    # <M, S^+ A2 S^+> = row norms of S^+ X2^T.
-    c = splus @ x2.T
-    var2 = float(m @ np.einsum("ij,ij->i", c, c))
+    # <M, S^+ A2 S^+>: diag(S^+ A2 S^+) = rowsum((S^+ A2) o S^+), S^+ symmetric.
+    var2 = float(m @ np.einsum("ij,ij->i", splus_a2, splus))
     variance = inst.sigma2 * (var1 + var2)
+    return RiskDecomposition(bias=bias, variance=variance)
+
+
+def _joint_risk(normal: NormalMatrices, inst, weighting, opts):
+    d = inst.d
+    n = normal.n1 + normal.n2
+    cutoff = eigen_cutoff_ratio(opts.resolve(n, d), n, d)
+    m = weight_vector(inst, weighting)
+    _, v, inv, keep = _pinv_parts(normal.a1 + normal.a2, cutoff)
+    v_null = v[:, ~keep]
+    pw = v_null @ (v_null.T @ inst.w_star)
+    bias = float(m @ (pw * pw))
+    variance = inst.sigma2 * float(m @ np.einsum("ij,j,ij->i", v, inv, v))
     return RiskDecomposition(bias=bias, variance=variance)
 
 
@@ -230,7 +294,7 @@ def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
         )
     if reg.is_zero and inst.d > NORMAL_PATH_MAX_D:
         return _conditional_sequential_gram(x1, x2, inst, weighting, opts)
-    return _conditional_sequential_dense(x1, x2, inst, reg, weighting, opts)
+    return _sequential_risk(NormalMatrices.of(x1, x2), inst, reg, weighting, opts)
 
 
 def conditional_risk_joint(x1, x2, inst: ProblemInstance,
@@ -245,15 +309,7 @@ def conditional_risk_joint(x1, x2, inst: ProblemInstance,
         bias = float(m @ (pw * pw))
         ainv = np.divide(1.0, c, out=np.zeros_like(c, dtype=float), where=c > 0)
         return RiskDecomposition(bias=bias, variance=inst.sigma2 * float(m @ ainv))
-    x = np.vstack([x1, x2])
-    cutoff = eigen_cutoff_ratio(opts.resolve(*x.shape), *x.shape)
-    a = x.T @ x
-    _, v, inv, keep = _pinv_parts(a, cutoff)
-    v_null = v[:, ~keep]
-    pw = v_null @ (v_null.T @ inst.w_star)
-    bias = float(m @ (pw * pw))
-    variance = inst.sigma2 * float(m @ np.einsum("ij,j,ij->i", v, inv, v))
-    return RiskDecomposition(bias=bias, variance=variance)
+    return _joint_risk(NormalMatrices.of(x1, x2), inst, weighting, opts)
 
 
 # -- algorithms ---------------------------------------------------------------
@@ -276,8 +332,8 @@ class L2RCL:
     name: str = "l2rcl"
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise NotPSD(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise NotPSD(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -305,12 +361,76 @@ class Joint:
     name: str = "joint"
 
 
+@dataclass(frozen=True)
+class TopK:
+    """Builder of the rank-k truncation of the empirical task-1 covariance."""
+
+    k: int
+
+    def __call__(self, x1: np.ndarray, seed) -> Regularizer:
+        return topk_empirical(x1, self.k)
+
+    def check(self, inst: ProblemInstance, n: int) -> None:
+        check_topk_size(self.k, n, inst.d)
+
+
+@dataclass(frozen=True)
+class Sketch:
+    """Builder of the k-row CountSketch of the task-1 data."""
+
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise KTooLarge(f"sketch size must be >= 1, got {self.k}")
+
+    def __call__(self, x1: np.ndarray, seed) -> Regularizer:
+        return sketch_regularizer(x1, self.k, seed)
+
+
+@dataclass(frozen=True)
+class Frequency:
+    """Builder of the observed-atom frequencies of one-hot task-1 data."""
+
+    def __call__(self, x1: np.ndarray, seed) -> Regularizer:
+        return onehot_frequency(x1)
+
+    def check(self, inst: ProblemInstance, n: int) -> None:
+        if inst.design is not Design.ONE_HOT:
+            raise NotOneHotDesign("observed-atom frequencies need a one-hot design")
+
+
 def topk_builder(k: int) -> RegularizerBuilder:
-    return lambda x1, seed: topk_empirical(x1, k)
+    return TopK(k)
 
 
 def sketch_builder(k: int) -> RegularizerBuilder:
-    return lambda x1, seed: sketch_regularizer(x1, k, seed)
+    return Sketch(k)
+
+
+def check_algorithm(algorithm, inst: ProblemInstance, n: int) -> None:
+    """Raise if ``algorithm`` cannot run on ``inst`` at sample size ``n``.
+
+    Draws nothing, so a sweep can check all of its cells before its first row.
+    """
+    if n < 1:
+        raise DimensionMismatch(f"need n >= 1, got {n}")
+    if isinstance(algorithm, GRCL):
+        if algorithm.regularizer is not None and algorithm.regularizer.d != inst.d:
+            raise DimensionMismatch(
+                f"Sigma has d={algorithm.regularizer.d}, instance has d={inst.d}"
+            )
+        check = getattr(algorithm.builder, "check", None)
+        if check is not None:
+            check(inst, n)
+    elif not isinstance(algorithm, (OCL, L2RCL, Joint)):
+        raise DimensionMismatch(f"unknown algorithm {algorithm!r}")
+
+
+# -- Monte Carlo over design replications ---------------------------------------
+
+# Bytes of normal matrices a shared set of replications keeps between rows.
+SHARED_BYTES_MAX = 512 * 2**20
 
 
 def _sample_design(spectrum, design: Design, n: int, seed) -> np.ndarray:
@@ -319,34 +439,102 @@ def _sample_design(spectrum, design: Design, n: int, seed) -> np.ndarray:
     return sampler.sample_gaussian_design(spectrum, n, seed)
 
 
-def _replication_risk(inst, algorithm, n, master_seed, rep, weighting):
-    x1 = _sample_design(
-        inst.g, inst.design, n, sampler.stream_seed(master_seed, rep, sampler.TASK1_DESIGN)
-    )
-    x2 = _sample_design(
-        inst.h, inst.design, n, sampler.stream_seed(master_seed, rep, sampler.TASK2_DESIGN)
-    )
-    if isinstance(algorithm, Joint):
-        return conditional_risk_joint(x1, x2, inst, weighting)
-    if isinstance(algorithm, OCL):
-        sigma = None
-    elif isinstance(algorithm, L2RCL):
-        sigma = Regularizer(form="diagonal", values=np.full(inst.d, algorithm.gamma))
-    elif isinstance(algorithm, GRCL):
-        sigma = algorithm.build(
-            x1, sampler.stream_seed(master_seed, rep, sampler.REGULARIZER_STREAM)
-        )
-    else:
-        raise DimensionMismatch(f"unknown algorithm {algorithm!r}")
-    return conditional_risk(x1, x2, inst, sigma, weighting)
+class Replication:
+    """The design pair of one replication, drawn from its seed streams on use.
+
+    On the dense Gaussian path (d <= NORMAL_PATH_MAX_D) the designs are
+    drawn once and only their normal matrices are kept.  One-hot designs,
+    the Gram path and builders that need X1 itself draw the designs each
+    time; the draws are pure functions of the seed.
+    """
+
+    __slots__ = ("inst", "n", "seed", "rep", "dense", "_normal")
+
+    def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
+        self.inst, self.n, self.seed, self.rep = inst, n, seed, rep
+        self.dense = inst.design is Design.GAUSSIAN and inst.d <= NORMAL_PATH_MAX_D
+        self._normal = None
+
+    def stream(self, tag: int) -> int:
+        return sampler.stream_seed(self.seed, self.rep, tag)
+
+    def x1(self) -> np.ndarray:
+        return _sample_design(self.inst.g, self.inst.design, self.n,
+                              self.stream(sampler.TASK1_DESIGN))
+
+    def x2(self) -> np.ndarray:
+        return _sample_design(self.inst.h, self.inst.design, self.n,
+                              self.stream(sampler.TASK2_DESIGN))
+
+    def normal(self) -> NormalMatrices:
+        if self._normal is None:
+            x1 = self.x1()
+            a1 = x1.T @ x1
+            del x1
+            x2 = self.x2()
+            self._normal = NormalMatrices(a1, x2.T @ x2, self.n, self.n)
+        return self._normal
+
+    def memory(self, algorithm, x1: np.ndarray | None = None) -> Regularizer | None:
+        """The memory matrix ``algorithm`` carries into the second phase."""
+        if isinstance(algorithm, OCL):
+            return None
+        if isinstance(algorithm, L2RCL):
+            return Regularizer(form="diagonal", values=np.full(self.inst.d, algorithm.gamma))
+        if algorithm.regularizer is not None:
+            return algorithm.regularizer
+        if self.dense and isinstance(algorithm.builder, TopK):
+            return self.normal().topk(algorithm.builder.k)
+        if x1 is None:
+            x1 = self.x1()
+        return algorithm.builder(x1, self.stream(sampler.REGULARIZER_STREAM))
+
+    def risk(self, algorithm, weighting: RiskWeighting) -> RiskDecomposition:
+        inst = self.inst
+        if self.dense:
+            if isinstance(algorithm, Joint):
+                return _joint_risk(self.normal(), inst, weighting, DEFAULT_OPTIONS)
+            reg = _sigma_as_regularizer(self.memory(algorithm), inst.d)
+            return _sequential_risk(self.normal(), inst, reg, weighting, DEFAULT_OPTIONS)
+        x1, x2 = self.x1(), self.x2()
+        if isinstance(algorithm, Joint):
+            return conditional_risk_joint(x1, x2, inst, weighting)
+        return conditional_risk(x1, x2, inst, self.memory(algorithm, x1), weighting)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("GRCL_THREADS", "1")
+class Replications:
+    """The ``reps`` replications of one (instance, n, reps, seed) cell.
+
+    Rows of a sweep that share the cell share their seed streams, and
+    through one ``Replications`` they share the draws too: a replication
+    is drawn on its first use, inside the first row's estimate, and its
+    normal matrices serve every later row.  At most ``memory_bytes`` are
+    kept (4 d^2 floats per replication); replications past that budget
+    are drawn again for each row.
+    """
+
+    def __init__(self, inst: ProblemInstance, n: int, reps: int, seed: int,
+                 memory_bytes: int = SHARED_BYTES_MAX):
+        self.inst, self.n, self.reps, self.seed = inst, n, reps, seed
+        kept = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d))
+        self._kept = [Replication(inst, n, seed, rep) for rep in range(kept)]
+
+    def __getitem__(self, rep: int) -> Replication:
+        if rep < len(self._kept):
+            return self._kept[rep]
+        return Replication(self.inst, self.n, self.seed, rep)
+
+
+def worker_count() -> int:
+    """Worker threads per estimate: ``GRCL_THREADS``, 1 when unset."""
+    raw = os.environ.get("GRCL_THREADS") or "1"
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigParse(f"GRCL_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def monte_carlo_expected_excess(
@@ -356,6 +544,8 @@ def monte_carlo_expected_excess(
     reps: int,
     seed: int,
     weighting: RiskWeighting = RiskWeighting.JOINT,
+    *,
+    replications: Replications | None = None,
 ) -> tuple[MonteCarloEstimate, RiskDecomposition]:
     """Design-average of the conditional excess risk over ``reps`` replications.
 
@@ -363,24 +553,28 @@ def monte_carlo_expected_excess(
     randomness is the pair of designs (and a data-built regularizer, when
     the algorithm carries one).  Per-replication seeds derive from
     (seed, replication, stream), making the result independent of
-    execution order; ``GRCL_THREADS`` caps worker threads.
+    execution order; ``GRCL_THREADS`` caps worker threads.  Pass the
+    ``replications`` of (inst, n, reps, seed) to share the draws with
+    other estimates on the same cell; the result does not change.
     """
     if reps < 2:
         raise DimensionMismatch(f"need reps >= 2, got {reps}")
-    workers = _max_workers()
+    check_algorithm(algorithm, inst, n)
+    workers = worker_count()
+    if replications is None:
+        replications = Replications(inst, n, reps, seed, memory_bytes=0)
+    elif (replications.inst is not inst
+          or (replications.n, replications.reps, replications.seed) != (n, reps, seed)):
+        raise DimensionMismatch("replications were drawn for another (instance, n, reps, seed)")
+
+    def risk(rep):
+        return replications[rep].risk(algorithm, weighting)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            decomps = list(
-                pool.map(
-                    lambda rep: _replication_risk(inst, algorithm, n, seed, rep, weighting),
-                    range(reps),
-                )
-            )
+            decomps = list(pool.map(risk, range(reps)))
     else:
-        decomps = [
-            _replication_risk(inst, algorithm, n, seed, rep, weighting)
-            for rep in range(reps)
-        ]
+        decomps = [risk(rep) for rep in range(reps)]
     totals = [dec.total for dec in decomps]
     mean = math.fsum(totals) / reps
     sq = math.fsum((t - mean) ** 2 for t in totals)

@@ -17,6 +17,8 @@ from grclab.cli import (
     run_verify,
 )
 from grclab.errors import ConfigParse
+from grclab.model import Design, ProblemInstance, instance_to_text, make_problem_pk
+from grclab.risk import monte_carlo_expected_excess
 
 
 def write_config(path, text):
@@ -212,6 +214,164 @@ output = {out}
         ocl_mean = float(rec["ocl"]["excess_mean"])
         window = 2 * (float(rec["grcl"]["excess_stderr"]) + float(rec["ocl"]["excess_stderr"]))
         assert grcl_mean <= ocl_mean + window
+
+
+SHARED_SWEEP_K = """
+pk_k = 3
+pk_d = 8
+design = gaussian
+n = 12
+k_values = 0, 1, 3, 8
+algorithms = grcl:topk:2
+reps = 3
+seed = 4
+output = {out}
+"""
+
+SHARED_SWEEP_N = """
+pk_k = 3
+pk_d = 8
+design = gaussian
+n_values = 6, 20
+algorithms = ocl, joint, l2rcl:0.2, grcl:topk:3, grcl:sketch:2
+reps = 3
+seed = 9
+output = {out}
+"""
+
+
+def assert_rows_equal_standalone(path, cfg):
+    """Every CSV row equals a standalone Monte Carlo estimate of its cell."""
+    lines = path.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        token = row["algorithm"]
+        if token == "grcl":
+            token = f"{cfg.algorithms[0].label.rsplit(':', 1)[0]}:{row['k']}"
+        est, dec = monte_carlo_expected_excess(
+            cfg.instance, parse_algorithm_spec(token).algorithm(), int(row["n"]),
+            cfg.reps, cfg.seed,
+        )
+        got = [float(row[c]) for c in ("excess_mean", "excess_stderr", "bias_mean", "variance_mean")]
+        want = [est.mean, est.std_error, dec.bias, dec.variance]
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300), line
+
+
+def run_with_threads(threads, fn, cfg):
+    """Run a sweep with ``threads`` workers, switching threads as often as possible."""
+    old, interval = os.environ.get("GRCL_THREADS"), sys.getswitchinterval()
+    os.environ["GRCL_THREADS"] = threads
+    sys.setswitchinterval(1e-6)
+    try:
+        fn(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+        if old is None:
+            del os.environ["GRCL_THREADS"]
+        else:
+            os.environ["GRCL_THREADS"] = old
+
+
+class TestSharedDraws:
+    def test_sweep_k_rows_equal_standalone(self, tmp_path):
+        out = tmp_path / "k.csv"
+        cfg = load_config(write_config(tmp_path / "c.cfg", SHARED_SWEEP_K.format(out=out)))
+        run_sweep_k(cfg)
+        assert_rows_equal_standalone(out, cfg)
+
+    def test_sweep_k_sketch_rows_equal_standalone(self, tmp_path):
+        out = tmp_path / "k.csv"
+        text = SHARED_SWEEP_K.replace("grcl:topk:2", "grcl:sketch:2").replace("0, 1, 3, 8", "1, 4")
+        cfg = load_config(write_config(tmp_path / "c.cfg", text.format(out=out)))
+        run_sweep_k(cfg)
+        assert_rows_equal_standalone(out, cfg)
+
+    def test_sweep_n_rows_equal_standalone(self, tmp_path):
+        out = tmp_path / "n.csv"
+        cfg = load_config(write_config(tmp_path / "c.cfg", SHARED_SWEEP_N.format(out=out)))
+        run_sweep_n(cfg)
+        lines = out.read_text().strip().splitlines()
+        labels = [(ln.split(",")[0], ln.split(",")[1]) for ln in lines[1:]]
+        # rows stay algorithm-major although the sweep runs n-major
+        assert labels == [(a.label, str(n)) for a in cfg.algorithms for n in (6, 20)]
+        assert_rows_equal_standalone(out, cfg)
+
+    def test_sweep_k_thread_invariance(self, tmp_path):
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        cfg1 = load_config(write_config(tmp_path / "c1.cfg", SHARED_SWEEP_K.format(out=out1)))
+        cfg2 = load_config(write_config(tmp_path / "c2.cfg", SHARED_SWEEP_K.format(out=out2)))
+        run_with_threads("1", run_sweep_k, cfg1)
+        run_with_threads("3", run_sweep_k, cfg2)
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+def bad_instance(tmp_path, sigma2):
+    inst = make_problem_pk(3, 8, Design.GAUSSIAN)
+    text = instance_to_text(inst).replace("sigma2=1.0", f"sigma2={sigma2}")
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    return f"instance = {path}"
+
+
+BAD_CONFIGS = {
+    "topk-above-n": ("sweep-k", "pk_k = 3\npk_d = 8\nn = 5\nk_values = 0, 6\nalgorithms = grcl:topk:1"),
+    "topk-above-d": ("sweep-k", "pk_k = 3\npk_d = 8\nn = 50\nk_values = 9\nalgorithms = grcl:topk:1"),
+    "topk-above-n-grid": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40, 4\nalgorithms = grcl:topk:5"),
+    "freq-on-gaussian": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = ocl, grcl:freq"),
+    "sketch-zero": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = grcl:sketch:0"),
+    "sketch-zero-k": ("sweep-k", "pk_k = 3\npk_d = 8\nn = 40\nk_values = 2, 0\nalgorithms = grcl:sketch:1"),
+    "cor3": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = grcl:cor3"),
+    "zero-n": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40, 0\nalgorithms = ocl"),
+    "nan-gamma": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = l2rcl:nan"),
+    "nan-noise": ("sweep-n", "n_values = 40\nalgorithms = ocl\n{nan}"),
+    "inf-noise": ("sweep-k", "n = 40\nk_values = 1\nalgorithms = grcl:topk:1\n{inf}"),
+    "threads": ("sweep-k", "pk_k = 3\npk_d = 8\nn = 40\nk_values = 1\nalgorithms = grcl:topk:1"),
+}
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_2_with_one_line(self, case, tmp_path, capsys, monkeypatch):
+        command, body = BAD_CONFIGS[case]
+        if case == "threads":
+            monkeypatch.setenv("GRCL_THREADS", "garbage")
+        out = tmp_path / "out.csv"
+        body = body.format(nan=bad_instance(tmp_path, "nan"), inf=bad_instance(tmp_path, "inf"))
+        path = write_config(tmp_path / "c.cfg", f"{body}\nreps = 2\noutput = {out}\n")
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_check_runs_before_any_row(self, tmp_path, monkeypatch):
+        import grclab.cli as cli
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(cli, "monte_carlo_expected_excess", no_rows)
+        cfg = config_from_fields({
+            "pk_k": "3", "pk_d": "8", "n_values": "40, 4", "algorithms": "ocl, grcl:topk:5",
+            "reps": "2", "output": str(tmp_path / "o.csv"),
+        })
+        with pytest.raises(ConfigParse, match="grcl:topk:5 at n=4"):
+            run_sweep_n(cfg)
+
+    def test_library_errors_exit_2(self, tmp_path, capsys, monkeypatch):
+        import grclab.cli as cli
+        from grclab.errors import NotPSD
+
+        def broken(config):
+            raise NotPSD("bad\nmatrix")
+
+        monkeypatch.setattr(cli, "run_sweep_n", broken)
+        path = write_config(tmp_path / "c.cfg", "reps = 2\n")
+        assert main(["sweep-n", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: NotPSD: bad matrix\n"
 
 
 class TestVerify:

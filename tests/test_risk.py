@@ -4,20 +4,29 @@ import os
 import numpy as np
 import pytest
 
-from grclab.errors import DimensionMismatch, NotPSD
+from grclab import sampler
+from grclab.errors import ConfigParse, DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
-from grclab.regularizers import Regularizer, zero_regularizer
+from grclab.estimators import eigen_cutoff_ratio
+from grclab.regularizers import Regularizer, topk_empirical, zero_regularizer
 from grclab.risk import (
     GRCL,
+    Frequency,
     Joint,
     L2RCL,
     OCL,
+    NormalMatrices,
+    Replications,
     RiskWeighting,
+    Sketch,
+    TopK,
+    check_algorithm,
     conditional_risk,
     conditional_risk_joint,
     monte_carlo_expected_excess,
     population_excess,
+    worker_count,
 )
 from grclab.sampler import sample_gaussian_design, sample_one_hot_design
 
@@ -301,3 +310,207 @@ class TestMonteCarlo:
         inst = make_problem_pk(2, 4, Design.GAUSSIAN)
         with pytest.raises(DimensionMismatch):
             monte_carlo_expected_excess(inst, OCL(), 10, 1, seed=0)
+
+
+def reference_sequential_dense(x1, x2, inst, sigma_mat, m):
+    """The dense sequential risk as first written: S^+ X2^T formed explicitly."""
+    n, d = x2.shape
+    cutoff = eigen_cutoff_ratio(1e-10 * max(x1.shape[0], n, d), max(x1.shape[0], n), d)
+
+    def parts(sym):
+        vals, vecs = np.linalg.eigh(sym)
+        keep = vals > cutoff * max(vals[-1], 0.0)
+        return vecs, np.where(keep, 1.0 / np.maximum(vals, 1e-300), 0.0), keep
+
+    v1, inv1, keep1 = parts(x1.T @ x1)
+    p1w = v1[:, ~keep1] @ (v1[:, ~keep1].T @ inst.w_star)
+    vs, invs, _ = parts(x2.T @ x2 + n * sigma_mat)
+    splus = (vs * invs) @ vs.T
+    q = np.eye(d) - splus @ (x2.T @ x2)
+    b = q @ p1w
+    qa = q @ (v1 * np.sqrt(inv1))
+    c = splus @ x2.T
+    var = m @ np.einsum("ij,ij->i", qa, qa) + m @ np.einsum("ij,ij->i", c, c)
+    return float(m @ (b * b)), inst.sigma2 * float(var)
+
+
+def reference_joint_dense(x1, x2, inst, m):
+    """The dense joint risk as first written: on the stacked design."""
+    x = np.vstack([x1, x2])
+    cutoff = eigen_cutoff_ratio(1e-10 * max(x.shape), *x.shape)
+    vals, vecs = np.linalg.eigh(x.T @ x)
+    keep = vals > cutoff * max(vals[-1], 0.0)
+    inv = np.where(keep, 1.0 / np.maximum(vals, 1e-300), 0.0)
+    pw = vecs[:, ~keep] @ (vecs[:, ~keep].T @ inst.w_star)
+    return float(m @ (pw * pw)), inst.sigma2 * float(m @ np.einsum("ij,j,ij->i", vecs, inv, vecs))
+
+
+class TestDenseFormulas:
+    @pytest.mark.parametrize("n1, n2, d", [(12, 9, 5), (4, 3, 9), (7, 7, 7), (3, 10, 6), (20, 2, 8)])
+    def test_sequential_matches_reference(self, n1, n2, d):
+        rng = np.random.default_rng(100 + n1 * d + n2)
+        inst = gaussian_instance(rng, d)
+        x1 = sample_gaussian_design(inst.g, n1, int(rng.integers(2**31)))
+        x2 = sample_gaussian_design(inst.h, n2, int(rng.integers(2**31)))
+        m = inst.g.values + inst.h.values
+        factor = rng.standard_normal((2, d))
+        for sigma in (None, Regularizer(form="diagonal", values=rng.uniform(0.1, 1.0, d)),
+                      Regularizer(form="lowrank", factor=factor)):
+            sigma_mat = np.zeros((d, d)) if sigma is None else sigma.matrix()
+            bias, variance = reference_sequential_dense(x1, x2, inst, sigma_mat, m)
+            dec = conditional_risk(x1, x2, inst, sigma)
+            assert dec.bias == pytest.approx(bias, rel=1e-9, abs=1e-12)
+            assert dec.variance == pytest.approx(variance, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n1, n2, d", [(12, 9, 5), (4, 3, 9), (2, 2, 9), (7, 7, 7), (20, 2, 8)])
+    def test_joint_matches_reference(self, n1, n2, d):
+        rng = np.random.default_rng(200 + n1 * d + n2)
+        inst = gaussian_instance(rng, d)
+        x1 = sample_gaussian_design(inst.g, n1, int(rng.integers(2**31)))
+        x2 = sample_gaussian_design(inst.h, n2, int(rng.integers(2**31)))
+        bias, variance = reference_joint_dense(x1, x2, inst, inst.g.values + inst.h.values)
+        dec = conditional_risk_joint(x1, x2, inst)
+        assert dec.bias == pytest.approx(bias, rel=1e-9, abs=1e-12)
+        assert dec.variance == pytest.approx(variance, rel=1e-9, abs=1e-12)
+
+    def test_shared_topk_is_topk_empirical(self):
+        rng = np.random.default_rng(31)
+        x1 = rng.standard_normal((15, 6))
+        normal = NormalMatrices.of(x1, rng.standard_normal((15, 6)))
+        for k in range(7):
+            np.testing.assert_array_equal(normal.topk(k).matrix(), topk_empirical(x1, k).matrix())
+        with pytest.raises(KTooLarge):
+            normal.topk(7)
+
+
+def shared_algorithms(d):
+    fixed = Regularizer(form="lowrank", factor=np.linspace(0.1, 0.6, 2 * d).reshape(2, d))
+    return [
+        OCL(),
+        Joint(),
+        L2RCL(0.3),
+        GRCL(regularizer=fixed),
+        GRCL(builder=TopK(2)),
+        GRCL(builder=TopK(0)),
+        GRCL(builder=Sketch(3)),
+        GRCL(builder=lambda x1, seed: topk_empirical(x1, 1)),
+    ]
+
+
+class TestSharedReplications:
+    @pytest.mark.parametrize("design, d, n", [
+        (Design.GAUSSIAN, 6, 10), (Design.GAUSSIAN, 9, 5), (Design.ONE_HOT, 5, 8),
+    ])
+    def test_rows_equal_standalone_estimates(self, design, d, n):
+        inst = make_problem_pk(3, d, design)
+        shared = Replications(inst, n, 4, seed=11)
+        algorithms = shared_algorithms(d)
+        if design is Design.ONE_HOT:
+            algorithms.append(GRCL(builder=Frequency()))
+        for weighting in RiskWeighting:
+            for algorithm in algorithms:
+                est, dec = monte_carlo_expected_excess(
+                    inst, algorithm, n, 4, 11, weighting, replications=shared
+                )
+                ref_est, ref_dec = monte_carlo_expected_excess(inst, algorithm, n, 4, 11, weighting)
+                got = (est.mean, est.std_error, dec.bias, dec.variance)
+                want = (ref_est.mean, ref_est.std_error, ref_dec.bias, ref_dec.variance)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+    def test_gram_path_rows_equal_standalone(self):
+        d, n = 4100, 6
+        i = np.arange(1, d + 1)
+        inst = ProblemInstance(
+            w_star=np.concatenate([[1.0], np.zeros(d - 1)]), sigma2=1.0,
+            g=make_spectrum(1.0 / i), h=make_spectrum(1.0 / i**1.5), design=Design.GAUSSIAN,
+        )
+        shared = Replications(inst, n, 2, seed=3)
+        for _ in range(2):
+            est, _ = monte_carlo_expected_excess(inst, OCL(), n, 2, 3, replications=shared)
+            ref, _ = monte_carlo_expected_excess(inst, OCL(), n, 2, 3)
+            assert est.mean == pytest.approx(ref.mean, rel=1e-10)
+
+    def test_dense_rows_draw_each_design_once(self, monkeypatch):
+        calls = []
+        draw = sampler.sample_gaussian_design
+
+        def counted(s, n, seed):
+            calls.append(seed)
+            return draw(s, n, seed)
+
+        monkeypatch.setattr(sampler, "sample_gaussian_design", counted)
+        inst = make_problem_pk(3, 8, Design.GAUSSIAN)
+        shared = Replications(inst, 12, 3, seed=5)
+        for algorithm in (OCL(), Joint(), L2RCL(0.2), GRCL(builder=TopK(3))):
+            monte_carlo_expected_excess(inst, algorithm, 12, 3, 5, replications=shared)
+        assert len(calls) == 2 * 3 == len(set(calls))
+        # a builder that needs X1 itself draws it again, per row
+        monte_carlo_expected_excess(inst, GRCL(builder=Sketch(2)), 12, 3, 5, replications=shared)
+        assert len(calls) == 3 * 3
+
+    def test_memory_budget_keeps_results(self):
+        inst = make_problem_pk(3, 8, Design.GAUSSIAN)
+        algorithm = GRCL(builder=TopK(2))
+        kept = Replications(inst, 12, 4, seed=5)
+        partial = Replications(inst, 12, 4, seed=5, memory_bytes=2 * 4 * 8 * 8 * 8)
+        a, _ = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=kept)
+        b, _ = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=partial)
+        assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
+    @pytest.mark.parametrize("n, reps, seed", [(13, 3, 5), (12, 4, 5), (12, 3, 6)])
+    def test_mismatched_replications_rejected(self, n, reps, seed):
+        inst = make_problem_pk(3, 8, Design.GAUSSIAN)
+        shared = Replications(inst, 12, 3, seed=5)
+        with pytest.raises(DimensionMismatch):
+            monte_carlo_expected_excess(inst, OCL(), n, reps, seed, replications=shared)
+
+    def test_other_instance_rejected(self):
+        shared = Replications(make_problem_pk(3, 8, Design.GAUSSIAN), 12, 3, seed=5)
+        with pytest.raises(DimensionMismatch):
+            monte_carlo_expected_excess(
+                make_problem_pk(3, 8, Design.GAUSSIAN), OCL(), 12, 3, 5, replications=shared
+            )
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("algorithm, design, n, error", [
+        (GRCL(builder=TopK(9)), Design.GAUSSIAN, 50, KTooLarge),
+        (GRCL(builder=TopK(6)), Design.GAUSSIAN, 5, KTooLarge),
+        (GRCL(builder=TopK(-1)), Design.GAUSSIAN, 50, KTooLarge),
+        (GRCL(builder=Frequency()), Design.GAUSSIAN, 50, NotOneHotDesign),
+        (GRCL(regularizer=zero_regularizer(5)), Design.GAUSSIAN, 50, DimensionMismatch),
+        (OCL(), Design.GAUSSIAN, 0, DimensionMismatch),
+    ])
+    def test_bad_cells_rejected_before_any_draw(self, monkeypatch, algorithm, design, n, error):
+        def no_draw(*args):
+            raise AssertionError("drew a design")
+
+        monkeypatch.setattr(sampler, "sample_gaussian_design", no_draw)
+        inst = make_problem_pk(3, 8, design)
+        with pytest.raises(error):
+            check_algorithm(algorithm, inst, n)
+        with pytest.raises(error):
+            monte_carlo_expected_excess(inst, algorithm, n, 3, 1)
+
+    @pytest.mark.parametrize("k", [-1, 0])
+    def test_bad_sketch_size(self, k):
+        with pytest.raises(KTooLarge):
+            Sketch(k)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_gamma(self, gamma):
+        with pytest.raises(NotPSD):
+            L2RCL(gamma)
+
+    @pytest.mark.parametrize("raw, workers", [("", 1), ("1", 1), ("3", 3)])
+    def test_worker_count(self, monkeypatch, raw, workers):
+        monkeypatch.setenv("GRCL_THREADS", raw)
+        assert worker_count() == workers
+
+    @pytest.mark.parametrize("raw", ["garbage", "0", "-2", "1.5"])
+    def test_bad_worker_count(self, monkeypatch, raw):
+        monkeypatch.setenv("GRCL_THREADS", raw)
+        with pytest.raises(ConfigParse):
+            worker_count()
+        with pytest.raises(ConfigParse):
+            monte_carlo_expected_excess(make_problem_pk(2, 4, Design.GAUSSIAN), OCL(), 5, 2, 0)
