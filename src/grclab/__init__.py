@@ -30,18 +30,19 @@ from .regularizers import (
 )
 from .risk import (
     GRCL,
+    Frequency,
     Joint,
     L2RCL,
     OCL,
     MonteCarloEstimate,
     Replications,
     RiskWeighting,
+    Sketch,
+    TopK,
     conditional_risk,
     conditional_risk_joint,
     monte_carlo_expected_excess,
     population_excess,
-    sketch_builder,
-    topk_builder,
 )
 from .sampler import (
     Dataset,

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 check failure, 2 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -26,12 +27,7 @@ from .model import (
     make_spectrum,
 )
 from .oracle import EnumerationBudget, binomial_mixed_moment, binomial_pmf, exact_one_hot_expected_excess
-from .regularizers import (
-    Regularizer,
-    corollary3_regularizer,
-    topk_spectrum_regularizer,
-    zero_regularizer,
-)
+from .regularizers import Regularizer, zero_regularizer
 from .risk import (
     GRCL,
     Frequency,
@@ -56,74 +52,33 @@ VERIFY_SUITES = ("lemmas", "oracle", "theorem1", "reductions", "example1", "exam
 
 # -- configuration -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
-    """One entry of the config ``algorithms`` list."""
-
-    label: str
-    kind: str  # ocl | l2rcl | grcl | joint
-    gamma: float | None = None
-    reg_kind: str | None = None  # topk | freq | sketch
-    reg_k: int | None = None
-
-    def algorithm(self, k_override: int | None = None):
-        if self.kind == "ocl":
-            return OCL()
-        if self.kind == "joint":
-            return Joint()
-        if self.kind == "l2rcl":
-            return L2RCL(gamma=self.gamma)
-        k = self.reg_k if k_override is None else k_override
-        if self.reg_kind == "topk":
-            return GRCL(builder=TopK(k))
-        if self.reg_kind == "sketch":
-            return GRCL(builder=Sketch(k))
-        return GRCL(builder=Frequency())
-
-    def csv_k(self, k_override: int | None = None):
-        if self.kind != "grcl":
-            return ""
-        k = self.reg_k if k_override is None else k_override
-        return "" if k is None else str(k)
+# Config token prefix -> constructor of its algorithm from the token's parameters.
+_ALGORITHM_TOKENS = {
+    "ocl": OCL,
+    "joint": Joint,
+    "l2rcl": lambda gamma: L2RCL(float(gamma)),
+    "grcl:topk": lambda k: GRCL(builder=TopK(int(k))),
+    "grcl:sketch": lambda k: GRCL(builder=Sketch(int(k))),
+    "grcl:freq": lambda: GRCL(builder=Frequency()),
+}
 
 
-def parse_algorithm_spec(token: str) -> AlgorithmSpec:
+def parse_algorithm_spec(token: str):
+    """The algorithm a config token names; ``parse_algorithm_spec(a.label) == a``.
+
+    Labels are canonical: ``ocl``, ``joint``, ``l2rcl:<repr(gamma)>``,
+    ``grcl:topk:<k>``, ``grcl:sketch:<k>`` and ``grcl:freq``.
+    """
     parts = [p.strip() for p in token.strip().split(":")]
-    kind = parts[0]
-    if kind in ("ocl", "joint"):
-        if len(parts) != 1:
-            raise ConfigParse(f"{kind} takes no parameters: {token!r}")
-        return AlgorithmSpec(label=kind, kind=kind)
-    if kind == "l2rcl":
-        if len(parts) != 2:
-            raise ConfigParse(f"expected l2rcl:<gamma>, got {token!r}")
-        try:
-            gamma = float(parts[1])
-        except ValueError as exc:
-            raise ConfigParse(f"bad gamma in {token!r}") from exc
-        if not (0 < gamma < math.inf):
-            raise ConfigParse(f"gamma must be positive and finite in {token!r}")
-        return AlgorithmSpec(label=f"l2rcl:{parts[1]}", kind=kind, gamma=gamma)
-    if kind == "grcl":
-        if len(parts) < 2:
-            raise ConfigParse(f"expected grcl:<regularizer>[: k], got {token!r}")
-        reg_kind = parts[1]
-        if reg_kind in ("topk", "sketch"):
-            if len(parts) != 3:
-                raise ConfigParse(f"expected grcl:{reg_kind}:<k>, got {token!r}")
-            try:
-                reg_k = int(parts[2])
-            except ValueError as exc:
-                raise ConfigParse(f"bad k in {token!r}") from exc
-            return AlgorithmSpec(
-                label=f"grcl:{reg_kind}:{reg_k}", kind=kind, reg_kind=reg_kind, reg_k=reg_k
-            )
-        if reg_kind == "freq":
-            if len(parts) != 2:
-                raise ConfigParse(f"{reg_kind} takes no k: {token!r}")
-            return AlgorithmSpec(label=f"grcl:{reg_kind}", kind=kind, reg_kind=reg_kind)
-        raise ConfigParse(f"unknown grcl regularizer {reg_kind!r}")
-    raise ConfigParse(f"unknown algorithm {kind!r}")
+    # The longest known prefix names the algorithm; the rest are its parameters.
+    cut = 2 if ":".join(parts[:2]) in _ALGORITHM_TOKENS else 1
+    make = _ALGORITHM_TOKENS.get(":".join(parts[:cut]))
+    if make is None:
+        raise ConfigParse(f"unknown algorithm {token!r}")
+    try:
+        return make(*parts[cut:])
+    except (TypeError, ValueError, GrclabError) as exc:
+        raise ConfigParse(f"bad parameters in {token!r}: {exc}") from exc
 
 
 def default_n_grid() -> list[int]:
@@ -134,7 +89,7 @@ def default_n_grid() -> list[int]:
 @dataclass(frozen=True)
 class ExperimentConfig:
     instance: ProblemInstance
-    algorithms: tuple[AlgorithmSpec, ...]
+    algorithms: tuple
     n_values: tuple[int, ...]
     k_values: tuple[int, ...]
     n: int
@@ -146,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 2:
             raise ConfigParse(f"reps must be >= 2, got {self.reps}")
+        if self.seed < 0:
+            raise ConfigParse(f"seed must be >= 0, got {self.seed}")
 
 
 _KNOWN_KEYS = {
@@ -239,43 +196,29 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _theory_columns(spec: AlgorithmSpec, inst: ProblemInstance, n: int,
-                    k_override: int | None = None) -> tuple[str, str]:
+def _theory_columns(algorithm, inst: ProblemInstance, n: int) -> tuple[str, str]:
     """Matching closed-form surrogates, empty when no formula applies."""
     if inst.design is not Design.ONE_HOT:
         return "", ""
     try:
-        if spec.kind == "joint":
-            rep = theory.joint_theory_one_hot(inst, n)
-        elif spec.kind == "ocl":
-            rep = theory.grcl_theory_one_hot(inst, zero_regularizer(inst.d), n)
-        elif spec.kind == "l2rcl":
-            sig = Regularizer(form="diagonal", values=np.full(inst.d, spec.gamma))
-            rep = theory.grcl_theory_one_hot(inst, sig, n)
-        elif spec.kind == "grcl" and spec.reg_kind == "topk":
-            k = spec.reg_k if k_override is None else k_override
-            rep = theory.grcl_theory_one_hot(
-                inst, topk_spectrum_regularizer(inst.g, k), n
-            )
-        elif spec.kind == "grcl" and spec.reg_kind == "freq":
-            rep = theory.grcl_theory_one_hot(inst, corollary3_regularizer(inst.g, n), n)
-        else:
-            return "", ""
+        report = algorithm.theory_one_hot(inst, n)
     except GrclabError:
         return "", ""
-    return _fmt(rep.bias_surrogate), _fmt(rep.variance_surrogate)
+    if report is None:
+        return "", ""
+    return _fmt(report.bias_surrogate), _fmt(report.variance_surrogate)
 
 
-def _sweep_row(spec: AlgorithmSpec, shared: Replications, k_override=None) -> str:
+def _sweep_row(algorithm, shared: Replications, column: str) -> str:
     inst, n, reps = shared.inst, shared.n, shared.reps
     estimate, decomp = monte_carlo_expected_excess(
-        inst, spec.algorithm(k_override), n, reps, shared.seed, replications=shared
+        inst, algorithm, n, reps, shared.seed, replications=shared
     )
-    th_bias, th_var = _theory_columns(spec, inst, n, k_override)
+    th_bias, th_var = _theory_columns(algorithm, inst, n)
     cells = (
-        spec.label if k_override is None else "grcl",
+        column,
         str(n),
-        spec.csv_k(k_override),
+        "".join(algorithm.label.split(":")[2:]),  # the k of grcl:<builder>:<k>
         str(reps),
         _fmt(estimate.mean),
         _fmt(estimate.std_error),
@@ -288,18 +231,17 @@ def _sweep_row(spec: AlgorithmSpec, shared: Replications, k_override=None) -> st
 
 
 def _check_cells(inst: ProblemInstance, cells) -> None:
-    """Reject a sweep any (algorithm, n, k) cell of which cannot run.
+    """Reject a sweep any (algorithm, n) cell of which cannot run.
 
     Runs before the first draw, so a bad config costs no compute and
     leaves no partial CSV.
     """
     worker_count()
-    for spec, n, k_override in cells:
-        label = spec.label if k_override is None else f"grcl:{spec.reg_kind}:{k_override}"
+    for algorithm, n in cells:
         try:
-            check_algorithm(spec.algorithm(k_override), inst, n)
+            check_algorithm(algorithm, inst, n)
         except GrclabError as exc:
-            raise ConfigParse(f"{label} at n={n}: {exc}") from exc
+            raise ConfigParse(f"{algorithm.label} at n={n}: {exc}") from exc
 
 
 def run_sweep_n(config: ExperimentConfig) -> str:
@@ -310,12 +252,12 @@ def run_sweep_n(config: ExperimentConfig) -> str:
     """
     if not config.n_values:
         raise ConfigParse("sweep-n needs a nonempty n_values list")
-    _check_cells(config.instance, [(s, n, None) for s in config.algorithms for n in config.n_values])
+    _check_cells(config.instance, [(a, n) for a in config.algorithms for n in config.n_values])
     rows = {}
     for j, n in enumerate(config.n_values):
         shared = Replications(config.instance, n, config.reps, config.seed)
-        for i, spec in enumerate(config.algorithms):
-            rows[i, j] = _sweep_row(spec, shared)
+        for i, algorithm in enumerate(config.algorithms):
+            rows[i, j] = _sweep_row(algorithm, shared, algorithm.label)
     lines = [CSV_HEADER] + [
         rows[i, j] for i in range(len(config.algorithms)) for j in range(len(config.n_values))
     ]
@@ -326,19 +268,22 @@ def run_sweep_n(config: ExperimentConfig) -> str:
 def run_sweep_k(config: ExperimentConfig) -> str:
     """Memory sweep at fixed n: one GRCL row per k, plus ocl/joint baselines.
 
-    All rows share one set of replications.
+    The k rows vary the k of the first configured grcl builder (top-k when
+    there is none).  All rows share one set of replications.
     """
     if not config.k_values:
         raise ConfigParse("sweep-k needs a nonempty k_values list")
-    grcl_specs = [s for s in config.algorithms if s.kind == "grcl"]
-    base = grcl_specs[0] if grcl_specs else parse_algorithm_spec("grcl:topk:0")
-    if base.reg_kind not in ("topk", "sketch"):
+    base = next((a.builder for a in config.algorithms if a.name == "grcl"), TopK(0))
+    if not hasattr(base, "k"):
         raise ConfigParse("sweep-k needs a grcl regularizer with a k (topk or sketch)")
-    cells = [(base, config.n, k) for k in config.k_values]
-    cells += [(parse_algorithm_spec(label), config.n, None) for label in ("ocl", "joint")]
-    _check_cells(config.instance, cells)
+    try:
+        algorithms = [GRCL(builder=dataclasses.replace(base, k=k)) for k in config.k_values]
+    except GrclabError as exc:
+        raise ConfigParse(f"sweep-k: {exc}") from exc
+    algorithms += [OCL(), Joint()]
+    _check_cells(config.instance, [(a, config.n) for a in algorithms])
     shared = Replications(config.instance, config.n, config.reps, config.seed)
-    lines = [CSV_HEADER] + [_sweep_row(spec, shared, k) for spec, _, k in cells]
+    lines = [CSV_HEADER] + [_sweep_row(a, shared, a.name) for a in algorithms]
     _write_lines(config.output_path, lines)
     return config.output_path
 
@@ -402,6 +347,15 @@ def suite_lemmas() -> list[Check]:
     return checks
 
 
+def _one_hot_instance(mu, lam, w) -> ProblemInstance:
+    """One-hot instance with task spectra ``mu``, ``lam``, target ``w`` and unit noise."""
+    return ProblemInstance(
+        w_star=w, sigma2=1.0,
+        g=make_spectrum(mu, one_hot=True), h=make_spectrum(lam, one_hot=True),
+        design=Design.ONE_HOT,
+    )
+
+
 def random_one_hot_instance(rng: np.random.Generator, d: int, n: int) -> ProblemInstance:
     """Random one-hot instance whose last two coordinates are below 1/n.
 
@@ -414,13 +368,7 @@ def random_one_hot_instance(rng: np.random.Generator, d: int, n: int) -> Problem
     lam = np.concatenate([rng.dirichlet(np.ones(d - 2)) * (1 - 2 * tail), [tail, tail]])
     w = rng.uniform(0.3, 1.0, d) * rng.choice([-1.0, 1.0], d)
     w /= np.linalg.norm(w)
-    return ProblemInstance(
-        w_star=w,
-        sigma2=1.0,
-        g=make_spectrum(mu, one_hot=True),
-        h=make_spectrum(lam, one_hot=True),
-        design=Design.ONE_HOT,
-    )
+    return _one_hot_instance(mu, lam, w)
 
 
 def random_diagonal_regularizer(rng: np.random.Generator, d: int) -> Regularizer:
@@ -490,18 +438,8 @@ def suite_oracle(instances: int = 10, reps: int = 10**4, seed: int = 7,
         lam = rng.dirichlet(np.ones(d) * 2.0)
         w = rng.standard_normal(d)
         w /= np.linalg.norm(w)
-        inst = ProblemInstance(
-            w_star=w, sigma2=1.0,
-            g=make_spectrum(mu, one_hot=True), h=make_spectrum(lam, one_hot=True),
-            design=Design.ONE_HOT,
-        )
-        algorithms = [
-            OCL(),
-            L2RCL(gamma=0.3),
-            GRCL(builder=Frequency()),
-            Joint(),
-        ]
-        for algorithm in algorithms:
+        inst = _one_hot_instance(mu, lam, w)
+        for algorithm in map(parse_algorithm_spec, ("ocl", "l2rcl:0.3", "grcl:freq", "joint")):
             exact = exact_one_hot_expected_excess(inst, n, algorithm, budget)
             estimate, _ = monte_carlo_expected_excess(
                 inst, algorithm, n, reps, seed=int(rng.integers(2**31))
@@ -562,11 +500,7 @@ def dominant_feature_instance(n: int) -> ProblemInstance:
     mu = np.array([1.0, 0.0])
     lam = np.array([1.0 / n, 1.0 - 1.0 / n])
     w = np.array([1.0, 0.0])
-    return ProblemInstance(
-        w_star=w, sigma2=1.0,
-        g=make_spectrum(mu, one_hot=True), h=make_spectrum(lam, one_hot=True),
-        design=Design.ONE_HOT,
-    )
+    return _one_hot_instance(mu, lam, w)
 
 
 def suite_example1(reps: int = 400, seed: int = 5) -> list[Check]:
@@ -599,11 +533,7 @@ def blocked_memory_instance(k: int, n: int) -> ProblemInstance:
     lam[k + 1] = 1.0 - (k + 1) / n
     w = np.zeros(d)
     w[: k + 1] = 1.0 / math.sqrt(k + 1)
-    return ProblemInstance(
-        w_star=w, sigma2=1.0,
-        g=make_spectrum(mu, one_hot=True), h=make_spectrum(lam, one_hot=True),
-        design=Design.ONE_HOT,
-    )
+    return _one_hot_instance(mu, lam, w)
 
 
 def suite_example2(regularizers: int = 20, reps: int = 600, seed: int = 13,

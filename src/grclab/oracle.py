@@ -16,16 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, GrclabError, InvalidProbability
 from .model import Design, ProblemInstance, RiskDecomposition
-from .risk import (
-    GRCL,
-    Joint,
-    L2RCL,
-    OCL,
-    RiskWeighting,
-    conditional_risk,
-    conditional_risk_joint,
-)
-from .regularizers import Regularizer
+from .risk import Designs, RiskWeighting, check_algorithm
 
 MAX_STATES_CAP = 10**7
 
@@ -142,33 +133,24 @@ def exact_one_hot_expected_excess(
     with the exact multinomial probability; the label noise is already
     integrated analytically by :func:`grclab.risk.conditional_risk`.
     Only count-determined algorithms are meaningful here (all four
-    standard ones are).
+    standard ones are); a builder that draws gets the memory seed of
+    stream (seed 0, replication 0) for every pair.
     """
     if inst.design is not Design.ONE_HOT:
         raise DimensionMismatch("exhaustive enumeration needs a one-hot instance")
+    check_algorithm(algorithm, inst, n)
     states1 = _multinomial_states(n, inst.g.values)
     states2 = _multinomial_states(n, inst.h.values)
     n_pairs = len(states1) * len(states2)
     if n_pairs > budget.max_states:
         raise BudgetExceeded(f"{n_pairs} dataset pairs exceed budget {budget.max_states}")
 
+    designs2 = [(_design_from_counts(c2), p2) for c2, p2 in states2]
     bias_terms, var_terms, prob_terms = [], [], []
     for c1, p1 in states1:
         x1 = _design_from_counts(c1)
-        if isinstance(algorithm, GRCL):
-            sigma = algorithm.build(x1, seed=0)
-        elif isinstance(algorithm, L2RCL):
-            sigma = Regularizer(form="diagonal", values=np.full(inst.d, algorithm.gamma))
-        elif isinstance(algorithm, (OCL, Joint)):
-            sigma = None
-        else:
-            raise DimensionMismatch(f"unknown algorithm {algorithm!r}")
-        for c2, p2 in states2:
-            x2 = _design_from_counts(c2)
-            if isinstance(algorithm, Joint):
-                dec = conditional_risk_joint(x1, x2, inst, weighting)
-            else:
-                dec = conditional_risk(x1, x2, inst, sigma, weighting)
+        for x2, p2 in designs2:
+            dec = algorithm.risk(Designs(inst, x1, x2, seed=0, rep=0), weighting)
             p = p1 * p2
             prob_terms.append(p)
             bias_terms.append(p * dec.bias)

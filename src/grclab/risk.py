@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -32,12 +32,15 @@ from .model import Design, ProblemInstance, RiskDecomposition
 from .regularizers import (
     Regularizer,
     check_topk_size,
+    corollary3_regularizer,
     onehot_frequency,
     sketch_regularizer,
     topk_empirical,
     topk_from_eigh,
+    topk_spectrum_regularizer,
     zero_regularizer,
 )
+from .theory import BoundReport, grcl_theory_one_hot, joint_theory_one_hot
 
 
 class RiskWeighting(enum.Enum):
@@ -313,52 +316,117 @@ def conditional_risk_joint(x1, x2, inst: ProblemInstance,
 
 
 # -- algorithms ---------------------------------------------------------------
+#
+# Each algorithm owns its label, check and risk.  It reads a replication
+# through ``inst``, ``n``, ``x1``, ``memory_seed``, ``topk(k)``,
+# ``sequential_risk(memory, weighting)`` and ``joint_risk(weighting)``.
 
-RegularizerBuilder = Callable[[np.ndarray, int], Regularizer]
+
+class _Sequential:
+    """Second-phase fit under ``memory(rep)``; one-hot theory under its population analog."""
+
+    def check(self, inst: ProblemInstance, n: int) -> None:
+        """Raise if the algorithm cannot run on ``inst`` at ``n``; draws nothing."""
+
+    def memory(self, rep) -> Regularizer:
+        """Sigma for ``rep``; a memory that ignores the data is its population analog."""
+        return self.population_memory(rep.inst, rep.n)
+
+    def risk(self, rep, weighting: RiskWeighting) -> RiskDecomposition:
+        return rep.sequential_risk(self.memory(rep), weighting)
+
+    def theory_one_hot(self, inst: ProblemInstance, n: int) -> BoundReport | None:
+        """The one-hot surrogate under ``population_memory``; None where it has none."""
+        sigma = self.population_memory(inst, n)
+        return None if sigma is None else grcl_theory_one_hot(inst, sigma, n)
 
 
 @dataclass(frozen=True)
-class OCL:
-    """Unregularized sequential learning."""
+class OCL(_Sequential):
+    """Unregularized sequential learning, Sigma = 0."""
 
-    name: str = "ocl"
+    name: ClassVar[str] = "ocl"
+    label: ClassVar[str] = "ocl"
+
+    def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer:
+        return zero_regularizer(inst.d)
 
 
 @dataclass(frozen=True)
-class L2RCL:
-    """Sequential learning with an isotropic penalty gamma ||w - w1||^2."""
+class L2RCL(_Sequential):
+    """Sequential learning with an isotropic penalty gamma ||w - w1||^2, Sigma = gamma I."""
 
     gamma: float
-    name: str = "l2rcl"
+    name: ClassVar[str] = "l2rcl"
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
             raise NotPSD(f"gamma must be positive and finite, got {self.gamma}")
 
+    @property
+    def label(self) -> str:
+        return f"l2rcl:{self.gamma!r}"
+
+    def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer:
+        return Regularizer(form="diagonal", values=np.full(inst.d, self.gamma))
+
 
 @dataclass(frozen=True)
-class GRCL:
-    """Sequential learning with a memory matrix, fixed or built from X1."""
+class GRCL(_Sequential):
+    """Sequential learning with a memory matrix, fixed or built from X1.
+
+    A builder is a callable ``(x1, seed) -> Regularizer`` or has a
+    ``memory(rep)`` that reads the replication, as ``TopK`` does.  It may
+    carry a ``label``, a ``check(inst, n)`` and a ``population(inst, n)``
+    analog for the one-hot theory, as ``TopK``, ``Sketch`` and ``Frequency`` do.
+    """
 
     regularizer: Regularizer | None = None
-    builder: RegularizerBuilder | None = None
-    name: str = "grcl"
+    builder: Callable[[np.ndarray, int], Regularizer] | None = None
+    name: ClassVar[str] = "grcl"
 
     def __post_init__(self):
         if (self.regularizer is None) == (self.builder is None):
             raise DimensionMismatch("provide exactly one of regularizer, builder")
 
-    def build(self, x1: np.ndarray, seed: int) -> Regularizer:
-        if self.regularizer is not None:
+    @property
+    def label(self) -> str:
+        return f"grcl:{self.builder.label}" if hasattr(self.builder, "label") else "grcl"
+
+    def check(self, inst: ProblemInstance, n: int) -> None:
+        if self.regularizer is not None and self.regularizer.d != inst.d:
+            raise DimensionMismatch(f"Sigma has d={self.regularizer.d}, instance has d={inst.d}")
+        if hasattr(self.builder, "check"):
+            self.builder.check(inst, n)
+
+    def memory(self, rep) -> Regularizer:
+        if self.builder is None:
             return self.regularizer
-        return self.builder(x1, seed)
+        if hasattr(self.builder, "memory"):
+            return self.builder.memory(rep)
+        return self.builder(rep.x1, rep.memory_seed)
+
+    def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer | None:
+        if self.builder is None:
+            return self.regularizer
+        return self.builder.population(inst, n) if hasattr(self.builder, "population") else None
 
 
 @dataclass(frozen=True)
 class Joint:
     """Min-norm least squares on the union of both datasets."""
 
-    name: str = "joint"
+    name: ClassVar[str] = "joint"
+    label: ClassVar[str] = "joint"
+
+    def check(self, inst: ProblemInstance, n: int) -> None:
+        """Joint training runs on every instance."""
+
+    def risk(self, rep, weighting: RiskWeighting) -> RiskDecomposition:
+        return rep.joint_risk(weighting)
+
+    def theory_one_hot(self, inst: ProblemInstance, n: int) -> BoundReport:
+        return joint_theory_one_hot(inst, n)
 
 
 @dataclass(frozen=True)
@@ -367,22 +435,33 @@ class TopK:
 
     k: int
 
-    def __call__(self, x1: np.ndarray, seed) -> Regularizer:
-        return topk_empirical(x1, self.k)
+    @property
+    def label(self) -> str:
+        return f"topk:{self.k}"
+
+    def memory(self, rep) -> Regularizer:
+        return rep.topk(self.k)  # shared eigenpairs on the dense path
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         check_topk_size(self.k, n, inst.d)
 
+    def population(self, inst: ProblemInstance, n: int) -> Regularizer:
+        return topk_spectrum_regularizer(inst.g, self.k)
+
 
 @dataclass(frozen=True)
 class Sketch:
-    """Builder of the k-row CountSketch of the task-1 data."""
+    """Builder of the k-row CountSketch of the task-1 data; no population analog."""
 
     k: int
 
     def __post_init__(self):
         if self.k < 1:
             raise KTooLarge(f"sketch size must be >= 1, got {self.k}")
+
+    @property
+    def label(self) -> str:
+        return f"sketch:{self.k}"
 
     def __call__(self, x1: np.ndarray, seed) -> Regularizer:
         return sketch_regularizer(x1, self.k, seed)
@@ -392,6 +471,8 @@ class Sketch:
 class Frequency:
     """Builder of the observed-atom frequencies of one-hot task-1 data."""
 
+    label: ClassVar[str] = "freq"
+
     def __call__(self, x1: np.ndarray, seed) -> Regularizer:
         return onehot_frequency(x1)
 
@@ -399,32 +480,15 @@ class Frequency:
         if inst.design is not Design.ONE_HOT:
             raise NotOneHotDesign("observed-atom frequencies need a one-hot design")
 
-
-def topk_builder(k: int) -> RegularizerBuilder:
-    return TopK(k)
-
-
-def sketch_builder(k: int) -> RegularizerBuilder:
-    return Sketch(k)
+    def population(self, inst: ProblemInstance, n: int) -> Regularizer:
+        return corollary3_regularizer(inst.g, n)
 
 
 def check_algorithm(algorithm, inst: ProblemInstance, n: int) -> None:
-    """Raise if ``algorithm`` cannot run on ``inst`` at sample size ``n``.
-
-    Draws nothing, so a sweep can check all of its cells before its first row.
-    """
+    """Raise if ``algorithm`` cannot run on ``inst`` at ``n``; draws nothing."""
     if n < 1:
         raise DimensionMismatch(f"need n >= 1, got {n}")
-    if isinstance(algorithm, GRCL):
-        if algorithm.regularizer is not None and algorithm.regularizer.d != inst.d:
-            raise DimensionMismatch(
-                f"Sigma has d={algorithm.regularizer.d}, instance has d={inst.d}"
-            )
-        check = getattr(algorithm.builder, "check", None)
-        if check is not None:
-            check(inst, n)
-    elif not isinstance(algorithm, (OCL, L2RCL, Joint)):
-        raise DimensionMismatch(f"unknown algorithm {algorithm!r}")
+    algorithm.check(inst, n)
 
 
 # -- Monte Carlo over design replications ---------------------------------------
@@ -433,96 +497,112 @@ def check_algorithm(algorithm, inst: ProblemInstance, n: int) -> None:
 SHARED_BYTES_MAX = 512 * 2**20
 
 
-def _sample_design(spectrum, design: Design, n: int, seed) -> np.ndarray:
-    if design is Design.ONE_HOT:
-        return sampler.sample_one_hot_design(spectrum, n, seed)
-    return sampler.sample_gaussian_design(spectrum, n, seed)
+class Designs:
+    """A drawn pair of designs, for Monte Carlo off the dense path and the oracle.
+
+    ``memory_seed`` derives from the (seed, rep) stream only when read.
+    """
+
+    __slots__ = ("inst", "x1", "x2", "n", "seed", "rep")
+
+    def __init__(self, inst: ProblemInstance, x1: np.ndarray, x2: np.ndarray,
+                 seed: int, rep: int):
+        self.inst, self.x1, self.x2, self.seed, self.rep = inst, x1, x2, seed, rep
+        self.n = x1.shape[0]
+
+    @property
+    def memory_seed(self) -> int:
+        return sampler.stream_seed(self.seed, self.rep, sampler.REGULARIZER_STREAM)
+
+    def topk(self, k: int) -> Regularizer:
+        return topk_empirical(self.x1, k)
+
+    def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
+        return conditional_risk(self.x1, self.x2, self.inst, memory, weighting)
+
+    def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
+        return conditional_risk_joint(self.x1, self.x2, self.inst, weighting)
 
 
 class Replication:
-    """The design pair of one replication, drawn from its seed streams on use.
+    """One replication of a cell, drawn from its seed streams on use.
 
     On the dense Gaussian path (d <= NORMAL_PATH_MAX_D) the designs are
-    drawn once and only their normal matrices are kept.  One-hot designs,
-    the Gram path and builders that need X1 itself draw the designs each
-    time; the draws are pure functions of the seed.
+    drawn once and only their normal matrices are kept; ``x1`` draws X1
+    again for a builder that needs it, as the draws are pure functions
+    of the seed.
     """
 
-    __slots__ = ("inst", "n", "seed", "rep", "dense", "_normal")
+    __slots__ = ("inst", "n", "seed", "rep", "_normal")
 
     def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
         self.inst, self.n, self.seed, self.rep = inst, n, seed, rep
-        self.dense = inst.design is Design.GAUSSIAN and inst.d <= NORMAL_PATH_MAX_D
         self._normal = None
 
-    def stream(self, tag: int) -> int:
-        return sampler.stream_seed(self.seed, self.rep, tag)
+    memory_seed = Designs.memory_seed
 
+    def _draw(self, spectrum, tag: int) -> np.ndarray:
+        seed = sampler.stream_seed(self.seed, self.rep, tag)
+        if self.inst.design is Design.ONE_HOT:
+            return sampler.sample_one_hot_design(spectrum, self.n, seed)
+        return sampler.sample_gaussian_design(spectrum, self.n, seed)
+
+    @property
     def x1(self) -> np.ndarray:
-        return _sample_design(self.inst.g, self.inst.design, self.n,
-                              self.stream(sampler.TASK1_DESIGN))
+        return self._draw(self.inst.g, sampler.TASK1_DESIGN)
 
+    @property
     def x2(self) -> np.ndarray:
-        return _sample_design(self.inst.h, self.inst.design, self.n,
-                              self.stream(sampler.TASK2_DESIGN))
+        return self._draw(self.inst.h, sampler.TASK2_DESIGN)
 
     def normal(self) -> NormalMatrices:
         if self._normal is None:
-            x1 = self.x1()
+            x1 = self.x1
             a1 = x1.T @ x1
             del x1
-            x2 = self.x2()
+            x2 = self.x2
             self._normal = NormalMatrices(a1, x2.T @ x2, self.n, self.n)
         return self._normal
 
-    def memory(self, algorithm, x1: np.ndarray | None = None) -> Regularizer | None:
-        """The memory matrix ``algorithm`` carries into the second phase."""
-        if isinstance(algorithm, OCL):
-            return None
-        if isinstance(algorithm, L2RCL):
-            return Regularizer(form="diagonal", values=np.full(self.inst.d, algorithm.gamma))
-        if algorithm.regularizer is not None:
-            return algorithm.regularizer
-        if self.dense and isinstance(algorithm.builder, TopK):
-            return self.normal().topk(algorithm.builder.k)
-        if x1 is None:
-            x1 = self.x1()
-        return algorithm.builder(x1, self.stream(sampler.REGULARIZER_STREAM))
+    def topk(self, k: int) -> Regularizer:
+        return self.normal().topk(k)
 
-    def risk(self, algorithm, weighting: RiskWeighting) -> RiskDecomposition:
-        inst = self.inst
-        if self.dense:
-            if isinstance(algorithm, Joint):
-                return _joint_risk(self.normal(), inst, weighting, DEFAULT_OPTIONS)
-            reg = _sigma_as_regularizer(self.memory(algorithm), inst.d)
-            return _sequential_risk(self.normal(), inst, reg, weighting, DEFAULT_OPTIONS)
-        x1, x2 = self.x1(), self.x2()
-        if isinstance(algorithm, Joint):
-            return conditional_risk_joint(x1, x2, inst, weighting)
-        return conditional_risk(x1, x2, inst, self.memory(algorithm, x1), weighting)
+    def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
+        reg = _sigma_as_regularizer(memory, self.inst.d)
+        return _sequential_risk(self.normal(), self.inst, reg, weighting, DEFAULT_OPTIONS)
+
+    def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
+        return _joint_risk(self.normal(), self.inst, weighting, DEFAULT_OPTIONS)
 
 
 class Replications:
     """The ``reps`` replications of one (instance, n, reps, seed) cell.
 
     Rows of a sweep that share the cell share their seed streams, and
-    through one ``Replications`` they share the draws too: a replication
-    is drawn on its first use, inside the first row's estimate, and its
+    through one ``Replications`` they share the draws too: on the dense
+    path a replication is drawn inside the first row's estimate and its
     normal matrices serve every later row.  At most ``memory_bytes`` are
-    kept (4 d^2 floats per replication); replications past that budget
-    are drawn again for each row.
+    kept (4 d^2 floats per replication); the rest, and every replication
+    off the dense path, are drawn again for each row.
     """
 
     def __init__(self, inst: ProblemInstance, n: int, reps: int, seed: int,
                  memory_bytes: int = SHARED_BYTES_MAX):
+        if seed < 0:
+            raise DimensionMismatch(f"need seed >= 0, got {seed}")
         self.inst, self.n, self.reps, self.seed = inst, n, reps, seed
-        kept = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d))
+        self.dense = inst.design is Design.GAUSSIAN and inst.d <= NORMAL_PATH_MAX_D
+        kept = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d)) if self.dense else 0
         self._kept = [Replication(inst, n, seed, rep) for rep in range(kept)]
 
-    def __getitem__(self, rep: int) -> Replication:
+    def __getitem__(self, rep: int) -> Replication | Designs:
+        """Replication ``rep`` as the algorithms read it."""
         if rep < len(self._kept):
             return self._kept[rep]
-        return Replication(self.inst, self.n, self.seed, rep)
+        replication = Replication(self.inst, self.n, self.seed, rep)
+        if self.dense:
+            return replication
+        return Designs(self.inst, replication.x1, replication.x2, self.seed, rep)
 
 
 def worker_count() -> int:
@@ -568,7 +648,7 @@ def monte_carlo_expected_excess(
         raise DimensionMismatch("replications were drawn for another (instance, n, reps, seed)")
 
     def risk(rep):
-        return replications[rep].risk(algorithm, weighting)
+        return algorithm.risk(replications[rep], weighting)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

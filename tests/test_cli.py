@@ -18,7 +18,9 @@ from grclab.cli import (
 )
 from grclab.errors import ConfigParse
 from grclab.model import Design, ProblemInstance, instance_to_text, make_problem_pk
-from grclab.risk import monte_carlo_expected_excess
+from grclab.regularizers import Regularizer, corollary3_regularizer, topk_spectrum_regularizer, zero_regularizer
+from grclab.risk import Frequency, TopK, monte_carlo_expected_excess
+from grclab.theory import grcl_theory_one_hot, joint_theory_one_hot
 
 
 def write_config(path, text):
@@ -69,9 +71,25 @@ class TestConfig:
 
     def test_good_algorithm_tokens(self):
         assert parse_algorithm_spec("l2rcl:0.5").gamma == 0.5
-        spec = parse_algorithm_spec("grcl:topk:4")
-        assert (spec.reg_kind, spec.reg_k) == ("topk", 4)
-        assert parse_algorithm_spec("grcl:freq").reg_kind == "freq"
+        assert parse_algorithm_spec("grcl:topk:4").builder == TopK(4)
+        assert parse_algorithm_spec("grcl:freq").builder == Frequency()
+
+    @pytest.mark.parametrize("token, label", [
+        ("ocl", "ocl"),
+        ("joint", "joint"),
+        ("l2rcl:0.1", "l2rcl:0.1"),
+        ("l2rcl:0.10", "l2rcl:0.1"),
+        ("l2rcl: 1e-3", "l2rcl:0.001"),
+        ("l2rcl:2", "l2rcl:2.0"),
+        ("grcl:topk:0", "grcl:topk:0"),
+        ("grcl:topk: 05", "grcl:topk:5"),
+        ("grcl:sketch:3", "grcl:sketch:3"),
+        ("grcl:freq", "grcl:freq"),
+    ])
+    def test_labels_are_canonical_and_parse_back(self, token, label):
+        algorithm = parse_algorithm_spec(token)
+        assert algorithm.label == label
+        assert parse_algorithm_spec(algorithm.label) == algorithm
 
     def test_instance_file_round_trip(self, tmp_path):
         from grclab.model import Design, instance_to_text, make_problem_pk
@@ -137,6 +155,35 @@ output = {out}
             rec = dict(zip(header, row))
             assert rec["theory_bias"] != ""
             assert float(rec["theory_variance"]) > 0
+
+    def test_one_hot_theory_columns_are_the_surrogates(self, tmp_path):
+        out = tmp_path / "oh.csv"
+        cfg = config_from_fields({
+            "pk_k": "3", "pk_d": "10", "design": "one_hot", "n_values": "5, 40",
+            "algorithms": "ocl, joint, l2rcl:0.25, grcl:topk:3, grcl:freq, grcl:sketch:3",
+            "reps": "2", "seed": "3", "output": str(out),
+        })
+        run_sweep_n(cfg)
+        inst = cfg.instance
+        sigmas = {
+            "ocl": lambda n: zero_regularizer(inst.d),
+            "l2rcl:0.25": lambda n: Regularizer(form="diagonal", values=np.full(inst.d, 0.25)),
+            "grcl:topk:3": lambda n: topk_spectrum_regularizer(inst.g, 3),
+            "grcl:freq": lambda n: corollary3_regularizer(inst.g, n),
+        }
+        header = CSV_HEADER.split(",")
+        for line in out.read_text().strip().splitlines()[1:]:
+            row = dict(zip(header, line.split(",")))
+            n = int(row["n"])
+            cells = (row["theory_bias"], row["theory_variance"])
+            if row["algorithm"] == "grcl:sketch:3":
+                assert cells == ("", "")
+                continue
+            if row["algorithm"] == "joint":
+                report = joint_theory_one_hot(inst, n)
+            else:
+                report = grcl_theory_one_hot(inst, sigmas[row["algorithm"]](n), n)
+            assert cells == (f"{report.bias_surrogate:.12g}", f"{report.variance_surrogate:.12g}")
 
     def test_sweep_k_baselines_and_zero_memory(self, tmp_path):
         out = tmp_path / "k.csv"
@@ -250,7 +297,7 @@ def assert_rows_equal_standalone(path, cfg):
         if token == "grcl":
             token = f"{cfg.algorithms[0].label.rsplit(':', 1)[0]}:{row['k']}"
         est, dec = monte_carlo_expected_excess(
-            cfg.instance, parse_algorithm_spec(token).algorithm(), int(row["n"]),
+            cfg.instance, parse_algorithm_spec(token), int(row["n"]),
             cfg.reps, cfg.seed,
         )
         got = [float(row[c]) for c in ("excess_mean", "excess_stderr", "bias_mean", "variance_mean")]
@@ -327,6 +374,7 @@ BAD_CONFIGS = {
     "nan-gamma": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = l2rcl:nan"),
     "nan-noise": ("sweep-n", "n_values = 40\nalgorithms = ocl\n{nan}"),
     "inf-noise": ("sweep-k", "n = 40\nk_values = 1\nalgorithms = grcl:topk:1\n{inf}"),
+    "negative-seed": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = ocl\nseed = -1"),
     "threads": ("sweep-k", "pk_k = 3\npk_d = 8\nn = 40\nk_values = 1\nalgorithms = grcl:topk:1"),
 }
 

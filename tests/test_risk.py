@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -9,9 +10,10 @@ from grclab.errors import ConfigParse, DimensionMismatch, KTooLarge, NotOneHotDe
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
 from grclab.estimators import eigen_cutoff_ratio
-from grclab.regularizers import Regularizer, topk_empirical, zero_regularizer
+from grclab.regularizers import Regularizer, sketch_regularizer, topk_empirical, zero_regularizer
 from grclab.risk import (
     GRCL,
+    Designs,
     Frequency,
     Joint,
     L2RCL,
@@ -298,10 +300,8 @@ class TestMonteCarlo:
 
     def test_grcl_builder_runs(self):
         inst = make_problem_pk(2, 6, Design.GAUSSIAN)
-        from grclab.risk import topk_builder
-
         est, dec = monte_carlo_expected_excess(
-            inst, GRCL(builder=topk_builder(2)), 40, 4, seed=3
+            inst, GRCL(builder=TopK(2)), 40, 4, seed=3
         )
         assert est.mean > 0
         assert dec.total == pytest.approx(dec.bias + dec.variance, rel=1e-9)
@@ -464,12 +464,49 @@ class TestSharedReplications:
         with pytest.raises(DimensionMismatch):
             monte_carlo_expected_excess(inst, OCL(), n, reps, seed, replications=shared)
 
+    @pytest.mark.parametrize("design, d", [(Design.ONE_HOT, 5), (Design.GAUSSIAN, 4100)])
+    def test_nothing_kept_off_the_dense_path(self, design, d):
+        shared = Replications(make_problem_pk(3, d, design), 4, 10**6, seed=1)
+        assert shared._kept == []
+
     def test_other_instance_rejected(self):
         shared = Replications(make_problem_pk(3, 8, Design.GAUSSIAN), 12, 3, seed=5)
         with pytest.raises(DimensionMismatch):
             monte_carlo_expected_excess(
                 make_problem_pk(3, 8, Design.GAUSSIAN), OCL(), 12, 3, 5, replications=shared
             )
+
+
+class TestAlgorithmProtocol:
+    @pytest.mark.parametrize("cls, name", [(OCL, "ocl"), (L2RCL, "l2rcl"), (GRCL, "grcl"), (Joint, "joint")])
+    def test_names_are_class_constants(self, cls, name):
+        assert cls.name == name
+        assert "name" not in {f.name for f in dataclasses.fields(cls)}
+
+    def test_plain_callable_and_fixed_memory(self):
+        inst = make_problem_pk(2, 5, Design.ONE_HOT)
+        custom = GRCL(builder=lambda x1, seed: topk_empirical(x1, 1))
+        assert custom.label == "grcl"
+        assert custom.theory_one_hot(inst, 20) is None
+        fixed = Regularizer(form="diagonal", values=np.full(5, 0.5))
+        assert GRCL(regularizer=fixed).population_memory(inst, 20) is fixed
+
+    @pytest.mark.parametrize("design", [Design.ONE_HOT, Design.GAUSSIAN])
+    def test_designs_risk_is_conditional_risk(self, design):
+        inst = make_problem_pk(3, 6, design)
+        draw = sample_one_hot_design if design is Design.ONE_HOT else sample_gaussian_design
+        x1, x2 = draw(inst.g, 9, 1), draw(inst.h, 9, 2)
+        designs = Designs(inst, x1, x2, seed=4, rep=0)
+        seed = sampler.stream_seed(4, 0, sampler.REGULARIZER_STREAM)
+        cases = [
+            (OCL(), None),
+            (L2RCL(0.4), Regularizer(form="diagonal", values=np.full(6, 0.4))),
+            (GRCL(builder=TopK(2)), topk_empirical(x1, 2)),
+            (GRCL(builder=Sketch(2)), sketch_regularizer(x1, 2, seed)),
+        ]
+        for algorithm, sigma in cases:
+            assert algorithm.risk(designs, RiskWeighting.JOINT) == conditional_risk(x1, x2, inst, sigma)
+        assert Joint().risk(designs, RiskWeighting.JOINT) == conditional_risk_joint(x1, x2, inst)
 
 
 class TestFailFast:
@@ -491,6 +528,17 @@ class TestFailFast:
             check_algorithm(algorithm, inst, n)
         with pytest.raises(error):
             monte_carlo_expected_excess(inst, algorithm, n, 3, 1)
+
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a design")
+
+        monkeypatch.setattr(sampler, "sample_gaussian_design", no_draw)
+        inst = make_problem_pk(3, 8, Design.GAUSSIAN)
+        with pytest.raises(DimensionMismatch):
+            Replications(inst, 10, 3, seed=-1)
+        with pytest.raises(DimensionMismatch):
+            monte_carlo_expected_excess(inst, OCL(), 10, 3, -1)
 
     @pytest.mark.parametrize("k", [-1, 0])
     def test_bad_sketch_size(self, k):
