@@ -133,20 +133,6 @@ def _sigma_sqrt_rows(sigma, d: int) -> np.ndarray:
     return np.sqrt(eigvals[keep])[:, None] * eigvecs[:, keep].T
 
 
-def _sigma_matrix(sigma, d: int) -> np.ndarray:
-    if isinstance(sigma, Regularizer):
-        if sigma.d != d:
-            raise DimensionMismatch(f"Sigma has d={sigma.d}, design has d={d}")
-        return sigma.matrix()
-    mat = np.asarray(sigma, dtype=float)
-    if mat.shape != (d, d):
-        raise DimensionMismatch(f"Sigma has shape {mat.shape}, need ({d}, {d})")
-    eigvals = np.linalg.eigvalsh(mat)
-    if eigvals[0] < -1e-12 * max(abs(eigvals[-1]), 1.0):
-        raise NotPSD(f"regularization matrix has eigenvalue {eigvals[0]}")
-    return mat
-
-
 def _is_zero_sigma(sigma) -> bool:
     if isinstance(sigma, Regularizer):
         return sigma.is_zero
@@ -164,8 +150,8 @@ def fit_grcl(x2, y2, w1: Weights, sigma, opts: SolveOptions = DEFAULT_OPTIONS) -
 
     The solve runs on the stacked factorization [X2; sqrt(n) W] with
     W^T W = Sigma, which stays accurate down to vanishing penalties where
-    the assembled normal matrix (see :func:`grcl_normal_reference`) loses
-    the small-eigenvalue directions to roundoff.
+    the assembled normal matrix X2^T X2 + n Sigma loses the
+    small-eigenvalue directions to roundoff.
 
     Parameters
     ----------
@@ -185,27 +171,6 @@ def fit_grcl(x2, y2, w1: Weights, sigma, opts: SolveOptions = DEFAULT_OPTIONS) -
     stacked = np.vstack([x2, np.sqrt(n) * w_rows])
     rhs = np.concatenate([y2 - x2 @ w1.w, np.zeros(w_rows.shape[0])])
     v = _minnorm_factor(stacked, rhs, tol)
-    return Weights(w1.w + v)
-
-
-def grcl_normal_reference(x2, y2, w1: Weights, sigma,
-                          opts: SolveOptions = DEFAULT_OPTIONS) -> Weights:
-    """Explicit normal-matrix solve of the regularized fit.
-
-    Assembles (X2^T X2 + n Sigma) v = X2^T (y2 - X2 w1) and applies the
-    pseudoinverse.  Agrees with :func:`fit_grcl` to 1e-8 away from the
-    vanishing-penalty regime; kept as the overlap reference for tests.
-    """
-    x2, y2 = _check_xy(x2, y2)
-    n, d = x2.shape
-    if _is_zero_sigma(sigma):
-        return fit_ocl(x2, y2, w1, opts)
-    tol = opts.resolve(n, d)
-    s = x2.T @ x2 + n * _sigma_matrix(sigma, d)
-    eigvals, eigvecs = np.linalg.eigh(s)
-    cutoff = eigen_cutoff_ratio(tol, n, d) * max(eigvals[-1], 0.0)
-    inv = np.where(eigvals > cutoff, 1.0 / np.maximum(eigvals, 1e-300), 0.0)
-    v = eigvecs @ (inv * (eigvecs.T @ (x2.T @ (y2 - x2 @ w1.w))))
     return Weights(w1.w + v)
 
 

@@ -216,13 +216,39 @@ def _joint_risk(normal: NormalMatrices, inst, weighting, opts):
     return RiskDecomposition(bias=bias, variance=variance)
 
 
-def _conditional_sequential_gram(x1, x2, inst, weighting, opts):
-    """Unregularized conditional risk through the n x n Gram matrices.
+# -- the n x n Gram path (d > NORMAL_PATH_MAX_D) ----------------------------------
+#
+# For d far beyond the sample sizes the d x d normal matrices are not
+# materializable.  Every term then reduces to the blocks of K = Z Z^T and
+# W = Z M Z^T with Z = [X1; X2], through (X^T X)^+ = X^T (X X^T)^+2 X.
+# Each is one symmetric product: syrk on the diagonal blocks, one GEMM off
+# it.  W is formed after scaling the rows of Z by sqrt(m) in place, so
+# both functions below overwrite x1 and x2: pass arrays the caller owns.
 
-    For d far beyond the sample sizes the d x d normal matrices are not
-    materializable; with Sigma = 0 every needed quantity reduces to
-    weighted Grams Z D Z^T, using (X^T X)^+ = X^T (X X^T)^+2 X and
-    P2 = I - X2^T (X2 X2^T)^+ X2.
+
+def _wide(inst: ProblemInstance) -> bool:
+    """Whether Monte Carlo on ``inst`` takes the Gram path, by its declared design."""
+    return inst.design is Design.GAUSSIAN and inst.d > NORMAL_PATH_MAX_D
+
+
+def _pinv_sym(sym: np.ndarray, cutoff_ratio: float) -> np.ndarray:
+    _, v, inv, _ = _pinv_parts(sym, cutoff_ratio)
+    return (v * inv) @ v.T
+
+
+def _scaled_grams(x1: np.ndarray, x2: np.ndarray, m: np.ndarray):
+    """W11, W12 and W22; scales x1 and x2 by sqrt(m) in place."""
+    root = np.sqrt(m)
+    x1 *= root
+    x2 *= root
+    return x1 @ x1.T, x1 @ x2.T, x2 @ x2.T
+
+
+def _conditional_sequential_gram(x1, x2, inst, weighting, opts):
+    """Unregularized conditional risk from the Gram blocks; overwrites x1, x2.
+
+    P2 = I - X2^T (X2 X2^T)^+ X2 propagates the first-phase error, so the
+    first variance term is <(X1 P2) M (X1 P2)^T, A1^+2> in row space.
     """
     n1, d = x1.shape
     n2 = x2.shape[0]
@@ -230,29 +256,54 @@ def _conditional_sequential_gram(x1, x2, inst, weighting, opts):
     cutoff = eigen_cutoff_ratio(opts.resolve(n_big, d), n_big, d)
     m = weight_vector(inst, weighting)
 
-    def pinv_from(sym):
-        _, v, inv, _ = _pinv_parts(sym, cutoff)
-        return (v * inv) @ v.T
-
-    a1_plus = pinv_from(x1 @ x1.T)
-    a2_plus = pinv_from(x2 @ x2.T)
+    a1_plus = _pinv_sym(x1 @ x1.T, cutoff)
+    a2_plus = _pinv_sym(x2 @ x2.T, cutoff)
+    k12 = x1 @ x2.T
 
     u = inst.w_star - x1.T @ (a1_plus @ (x1 @ inst.w_star))
     b = u - x2.T @ (a2_plus @ (x2 @ u))
     bias = float(m @ (b * b))
 
-    x1m = x1 * m
-    w11 = x1m @ x1.T
-    w12 = x1m @ x2.T
-    del x1m
-    w22 = (x2 * m) @ x2.T
-    k12 = x1 @ x2.T
+    core, w12, w22 = _scaled_grams(x1, x2, m)
     t = k12 @ a2_plus
-    # (X1 P2) M (X1 P2)^T assembled from the Gram blocks
-    core = w11 - t @ w12.T - w12 @ t.T + t @ w22 @ t.T
+    del k12
+    # (X1 P2) M (X1 P2)^T = W11 - T W12^T - W12 T^T + T W22 T^T, in place
+    tw = t @ w12.T
+    del w12
+    core -= tw
+    core -= tw.T
+    del tw
+    core += t @ w22 @ t.T
+    del t
     var1 = float(np.einsum("ij,ji->", a1_plus @ core, a1_plus))
     var2 = float(np.einsum("ij,ji->", a2_plus @ w22, a2_plus))
     variance = inst.sigma2 * (var1 + var2)
+    return RiskDecomposition(bias=bias, variance=max(variance, 0.0))
+
+
+def _conditional_joint_gram(x1, x2, inst, weighting, opts):
+    """Stacked min-norm risk from the Gram blocks; overwrites x1, x2.
+
+    bias = ||w* - Z^T K^+ Z w*||_M^2 and variance = sigma2 tr(K^+ W K^+),
+    with the cutoff of the dense joint path at n1 + n2 rows.
+    """
+    n1, d = x1.shape
+    n = n1 + x2.shape[0]
+    cutoff = eigen_cutoff_ratio(opts.resolve(n, d), n, d)
+    m = weight_vector(inst, weighting)
+
+    k12 = x1 @ x2.T
+    k_plus = _pinv_sym(np.block([[x1 @ x1.T, k12], [k12.T, x2 @ x2.T]]), cutoff)
+    del k12
+
+    c = k_plus @ np.concatenate([x1 @ inst.w_star, x2 @ inst.w_star])
+    pw = inst.w_star - x1.T @ c[:n1] - x2.T @ c[n1:]
+    bias = float(m @ (pw * pw))
+
+    w11, w12, w22 = _scaled_grams(x1, x2, m)
+    w = np.block([[w11, w12], [w12.T, w22]])
+    del w11, w12, w22
+    variance = inst.sigma2 * float(np.einsum("ij,ji->", k_plus @ w, k_plus))
     return RiskDecomposition(bias=bias, variance=max(variance, 0.0))
 
 
@@ -279,7 +330,9 @@ def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
     (the propagation map degenerates to the task-2 null-space projection),
     Sigma = gamma I the l2-penalized one, general PSD Sigma the structural
     one.  One-hot designs with diagonal Sigma take an exact O(d)
-    coordinate path; the dense path agrees with it to rounding.
+    coordinate path; the dense path agrees with it to rounding.  Sigma = 0
+    above ``NORMAL_PATH_MAX_D`` takes the n x n Gram path on copies of the
+    designs, which are never modified.
 
     Parameters
     ----------
@@ -296,14 +349,18 @@ def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
             x1.sum(axis=0), x2.sum(axis=0), n2, inst, gamma, weighting
         )
     if reg.is_zero and inst.d > NORMAL_PATH_MAX_D:
-        return _conditional_sequential_gram(x1, x2, inst, weighting, opts)
+        return _conditional_sequential_gram(x1.copy(), x2.copy(), inst, weighting, opts)
     return _sequential_risk(NormalMatrices.of(x1, x2), inst, reg, weighting, opts)
 
 
 def conditional_risk_joint(x1, x2, inst: ProblemInstance,
                            weighting: RiskWeighting = RiskWeighting.JOINT,
                            opts: SolveOptions = DEFAULT_OPTIONS) -> RiskDecomposition:
-    """Noise-expected excess risk of the stacked min-norm fit, fixed designs."""
+    """Noise-expected excess risk of the stacked min-norm fit, fixed designs.
+
+    Above ``NORMAL_PATH_MAX_D`` it takes the n x n Gram path on copies of
+    the designs, which are never modified.
+    """
     x1, x2 = _check_designs(x1, x2, inst)
     m = weight_vector(inst, weighting)
     if _is_one_hot_matrix(x1) and _is_one_hot_matrix(x2):
@@ -312,6 +369,8 @@ def conditional_risk_joint(x1, x2, inst: ProblemInstance,
         bias = float(m @ (pw * pw))
         ainv = np.divide(1.0, c, out=np.zeros_like(c, dtype=float), where=c > 0)
         return RiskDecomposition(bias=bias, variance=inst.sigma2 * float(m @ ainv))
+    if inst.d > NORMAL_PATH_MAX_D:
+        return _conditional_joint_gram(x1.copy(), x2.copy(), inst, weighting, opts)
     return _joint_risk(NormalMatrices.of(x1, x2), inst, weighting, opts)
 
 
@@ -501,26 +560,42 @@ class Designs:
     """A drawn pair of designs, for Monte Carlo off the dense path and the oracle.
 
     ``memory_seed`` derives from the (seed, rep) stream only when read.
+    A Gaussian pair above ``NORMAL_PATH_MAX_D`` takes the Gram path,
+    chosen by the declared design; when ``owned``, that path scales the
+    arrays in place and the pair serves one risk only.
     """
 
-    __slots__ = ("inst", "x1", "x2", "n", "seed", "rep")
+    __slots__ = ("inst", "x1", "x2", "n", "seed", "rep", "owned")
 
     def __init__(self, inst: ProblemInstance, x1: np.ndarray, x2: np.ndarray,
-                 seed: int, rep: int):
+                 seed: int, rep: int, owned: bool = False):
         self.inst, self.x1, self.x2, self.seed, self.rep = inst, x1, x2, seed, rep
         self.n = x1.shape[0]
+        self.owned = owned
 
     @property
     def memory_seed(self) -> int:
         return sampler.stream_seed(self.seed, self.rep, sampler.REGULARIZER_STREAM)
 
+    def _take(self):
+        """X1 and X2 for the Gram path, which overwrites them."""
+        if not self.owned:
+            return self.x1.copy(), self.x2.copy()
+        x1, x2 = self.x1, self.x2
+        self.x1 = self.x2 = None  # scaled below: nothing may read them again
+        return x1, x2
+
     def topk(self, k: int) -> Regularizer:
         return topk_empirical(self.x1, k)
 
     def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
+        if _wide(self.inst) and _sigma_as_regularizer(memory, self.inst.d).is_zero:
+            return _conditional_sequential_gram(*self._take(), self.inst, weighting, DEFAULT_OPTIONS)
         return conditional_risk(self.x1, self.x2, self.inst, memory, weighting)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
+        if _wide(self.inst):
+            return _conditional_joint_gram(*self._take(), self.inst, weighting, DEFAULT_OPTIONS)
         return conditional_risk_joint(self.x1, self.x2, self.inst, weighting)
 
 
@@ -555,6 +630,22 @@ class Replication:
     def x2(self) -> np.ndarray:
         return self._draw(self.inst.h, sampler.TASK2_DESIGN)
 
+    def designs(self) -> Designs:
+        """Both designs, owned by the returned pair.
+
+        A wide Gaussian replication (d > NORMAL_PATH_MAX_D) draws X2 on a
+        helper thread while this one draws X1: ``standard_normal`` releases
+        the GIL, and each draw is a pure function of its own stream seed.
+        """
+        if _wide(self.inst):
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                x2 = helper.submit(self._draw, self.inst.h, sampler.TASK2_DESIGN)
+                x1 = self.x1
+                x2 = x2.result()
+        else:
+            x1, x2 = self.x1, self.x2
+        return Designs(self.inst, x1, x2, self.seed, self.rep, owned=True)
+
     def normal(self) -> NormalMatrices:
         if self._normal is None:
             x1 = self.x1
@@ -581,8 +672,9 @@ class Replications:
     Rows of a sweep that share the cell share their seed streams, and
     through one ``Replications`` they share the draws too: on the dense
     path a replication is drawn inside the first row's estimate and its
-    normal matrices serve every later row.  At most ``memory_bytes`` are
-    kept (4 d^2 floats per replication); the rest, and every replication
+    normal matrices serve every later row.  The first replications are
+    kept, each made on first use, so that at most ``memory_bytes`` are
+    held (4 d^2 floats per replication); the rest, and every replication
     off the dense path, are drawn again for each row.
     """
 
@@ -592,17 +684,17 @@ class Replications:
             raise DimensionMismatch(f"need seed >= 0, got {seed}")
         self.inst, self.n, self.reps, self.seed = inst, n, reps, seed
         self.dense = inst.design is Design.GAUSSIAN and inst.d <= NORMAL_PATH_MAX_D
-        kept = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d)) if self.dense else 0
-        self._kept = [Replication(inst, n, seed, rep) for rep in range(kept)]
+        self._capacity = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d)) if self.dense else 0
+        self._kept: dict[int, Replication] = {}
 
     def __getitem__(self, rep: int) -> Replication | Designs:
         """Replication ``rep`` as the algorithms read it."""
-        if rep < len(self._kept):
-            return self._kept[rep]
-        replication = Replication(self.inst, self.n, self.seed, rep)
-        if self.dense:
-            return replication
-        return Designs(self.inst, replication.x1, replication.x2, self.seed, rep)
+        replication = self._kept.get(rep)
+        if replication is None:
+            replication = Replication(self.inst, self.n, self.seed, rep)
+            if rep < self._capacity:
+                self._kept[rep] = replication
+        return replication if self.dense else replication.designs()
 
 
 def worker_count() -> int:

@@ -81,7 +81,8 @@ def sample_one_hot_design(s: Spectrum, n: int, seed) -> np.ndarray:
 def sample_gaussian_design(s: Spectrum, n: int, seed) -> np.ndarray:
     """Draw n i.i.d. rows of diag(s)^(1/2) z with z standard normal."""
     z = _rng(seed).standard_normal((n, s.d))
-    return z * np.sqrt(s.values)
+    z *= np.sqrt(s.values)
+    return z
 
 
 def sample_labels(x: np.ndarray, w_star: np.ndarray, sigma2: float, seed) -> np.ndarray:

@@ -354,6 +354,38 @@ class TestSharedDraws:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+WIDE_SWEEP_N = """
+pk_k = 3
+pk_d = 4100
+design = gaussian
+n_values = 5, 9
+algorithms = ocl, joint
+reps = 3
+seed = 4
+output = {out}
+"""
+
+
+class TestWidePath:
+    """sweep-n above the dense limit, where X2 is drawn on a helper thread."""
+
+    def test_sweep_n_rows_equal_standalone(self, tmp_path):
+        out = tmp_path / "n.csv"
+        cfg = load_config(write_config(tmp_path / "c.cfg", WIDE_SWEEP_N.format(out=out)))
+        run_sweep_n(cfg)
+        assert_rows_equal_standalone(out, cfg)
+
+    def test_sweep_n_thread_invariance(self, tmp_path, monkeypatch):
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        cfg1 = load_config(write_config(tmp_path / "c1.cfg", WIDE_SWEEP_N.format(out=out1)))
+        cfg2 = load_config(write_config(tmp_path / "c2.cfg", WIDE_SWEEP_N.format(out=out2)))
+        monkeypatch.delenv("GRCL_THREADS", raising=False)
+        run_sweep_n(cfg1)
+        run_with_threads("3", run_sweep_n, cfg2)
+        assert out1.read_bytes() == out2.read_bytes()
+
+
 def bad_instance(tmp_path, sigma2):
     inst = make_problem_pk(3, 8, Design.GAUSSIAN)
     text = instance_to_text(inst).replace("sigma2=1.0", f"sigma2={sigma2}")

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from grclab.risk import (
     L2RCL,
     OCL,
     NormalMatrices,
+    Replication,
     Replications,
     RiskWeighting,
     Sketch,
@@ -28,6 +31,7 @@ from grclab.risk import (
     conditional_risk_joint,
     monte_carlo_expected_excess,
     population_excess,
+    weight_vector,
     worker_count,
 )
 from grclab.sampler import sample_gaussian_design, sample_one_hot_design
@@ -195,19 +199,24 @@ class TestConditionalRisk:
 
     def test_gram_path_matches_dense_path(self):
         from grclab.estimators import DEFAULT_OPTIONS
-        from grclab.risk import _conditional_sequential_gram
+        from grclab.risk import _conditional_joint_gram, _conditional_sequential_gram
 
         rng = np.random.default_rng(21)
-        for n1, n2, d in [(6, 8, 4), (5, 5, 12), (9, 4, 9)]:
+        shapes = [(6, 8, 4), (5, 5, 12), (9, 4, 9), (40, 25, 300), (25, 40, 300), (200, 150, 120)]
+        for n1, n2, d in shapes:
             inst = gaussian_instance(rng, d)
             x1 = sample_gaussian_design(inst.g, n1, int(rng.integers(2**31)))
             x2 = sample_gaussian_design(inst.h, n2, int(rng.integers(2**31)))
-            dense = conditional_risk(x1, x2, inst, None)
-            gram = _conditional_sequential_gram(
-                x1, x2, inst, RiskWeighting.JOINT, DEFAULT_OPTIONS
-            )
-            assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
-            assert gram.variance == pytest.approx(dense.variance, rel=1e-8, abs=1e-10)
+            for weighting in RiskWeighting:
+                pairs = [
+                    (conditional_risk(x1, x2, inst, None, weighting),
+                     _conditional_sequential_gram(x1.copy(), x2.copy(), inst, weighting, DEFAULT_OPTIONS)),
+                    (conditional_risk_joint(x1, x2, inst, weighting),
+                     _conditional_joint_gram(x1.copy(), x2.copy(), inst, weighting, DEFAULT_OPTIONS)),
+                ]
+                for dense, gram in pairs:
+                    assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
+                    assert gram.variance == pytest.approx(dense.variance, rel=1e-8, abs=1e-10)
 
     def test_bias_ignores_noise_level_and_variance_scales(self):
         rng = np.random.default_rng(6)
@@ -418,16 +427,12 @@ class TestSharedReplications:
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_gram_path_rows_equal_standalone(self):
-        d, n = 4100, 6
-        i = np.arange(1, d + 1)
-        inst = ProblemInstance(
-            w_star=np.concatenate([[1.0], np.zeros(d - 1)]), sigma2=1.0,
-            g=make_spectrum(1.0 / i), h=make_spectrum(1.0 / i**1.5), design=Design.GAUSSIAN,
-        )
+        inst = wide_instance()
+        n = 6
         shared = Replications(inst, n, 2, seed=3)
-        for _ in range(2):
-            est, _ = monte_carlo_expected_excess(inst, OCL(), n, 2, 3, replications=shared)
-            ref, _ = monte_carlo_expected_excess(inst, OCL(), n, 2, 3)
+        for algorithm in (OCL(), Joint(), OCL()):
+            est, _ = monte_carlo_expected_excess(inst, algorithm, n, 2, 3, replications=shared)
+            ref, _ = monte_carlo_expected_excess(inst, algorithm, n, 2, 3)
             assert est.mean == pytest.approx(ref.mean, rel=1e-10)
 
     def test_dense_rows_draw_each_design_once(self, monkeypatch):
@@ -467,7 +472,31 @@ class TestSharedReplications:
     @pytest.mark.parametrize("design, d", [(Design.ONE_HOT, 5), (Design.GAUSSIAN, 4100)])
     def test_nothing_kept_off_the_dense_path(self, design, d):
         shared = Replications(make_problem_pk(3, d, design), 4, 10**6, seed=1)
-        assert shared._kept == []
+        shared[0]
+        assert shared._capacity == 0 and shared._kept == {}
+
+    def test_construction_makes_no_replication(self):
+        tracemalloc.start()
+        try:
+            shared = Replications(make_problem_pk(2, 2, Design.GAUSSIAN), 4, 10**6, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shared._capacity == 10**6 and shared._kept == {}
+        assert peak < 64 * 2**10
+
+    def test_kept_replications_are_made_on_first_use(self):
+        inst = make_problem_pk(3, 8, Design.GAUSSIAN)
+        shared = Replications(inst, 12, 4, seed=5, memory_bytes=3 * 4 * 8 * 8 * 8)
+        assert shared._kept == {}
+        for algorithm in (OCL(), GRCL(builder=TopK(2)), Joint()):
+            est, dec = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=shared)
+            ref_est, ref_dec = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5)
+            got = (est.mean, est.std_error, dec.bias, dec.variance)
+            want = (ref_est.mean, ref_est.std_error, ref_dec.bias, ref_dec.variance)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+            assert sorted(shared._kept) == [0, 1, 2]
+        assert shared[1] is shared._kept[1] and shared[3] is not shared[3]
 
     def test_other_instance_rejected(self):
         shared = Replications(make_problem_pk(3, 8, Design.GAUSSIAN), 12, 3, seed=5)
@@ -475,6 +504,92 @@ class TestSharedReplications:
             monte_carlo_expected_excess(
                 make_problem_pk(3, 8, Design.GAUSSIAN), OCL(), 12, 3, 5, replications=shared
             )
+
+
+def wide_instance(d=4100):
+    """crit-11's kind of instance just above the dense limit."""
+    i = np.arange(1, d + 1)
+    return ProblemInstance(
+        w_star=np.concatenate([[1.0], np.zeros(d - 1)]), sigma2=1.0,
+        g=make_spectrum(1.0 / i), h=make_spectrum(1.0 / i**1.5), design=Design.GAUSSIAN,
+    )
+
+
+def svd_joint_risk(x1, x2, inst, weighting):
+    """Independent joint risk from the thin SVD of the stacked design."""
+    _, s, vt = np.linalg.svd(np.vstack([x1, x2]), full_matrices=False)
+    keep = s > 1e-12 * s[0]
+    v = vt[keep]
+    m = weight_vector(inst, weighting)
+    pw = inst.w_star - v.T @ (v @ inst.w_star)
+    variance = inst.sigma2 * float(((v * v) @ m) @ s[keep] ** -2.0)
+    return float(m @ (pw * pw)), variance
+
+
+class TestWidePath:
+    """The Gram path above NORMAL_PATH_MAX_D, as Monte Carlo and the public API run it."""
+
+    def test_public_risk_leaves_its_designs_unchanged(self):
+        inst = wide_instance()
+        x1 = sample_gaussian_design(inst.g, 5, 1)
+        x2 = sample_gaussian_design(inst.h, 7, 2)
+        before = x1.tobytes(), x2.tobytes()
+        first = conditional_risk(x1, x2, inst, None), conditional_risk_joint(x1, x2, inst)
+        assert (x1.tobytes(), x2.tobytes()) == before
+        designs = Designs(inst, x1, x2, seed=0, rep=0)
+        assert (OCL().risk(designs, RiskWeighting.JOINT), Joint().risk(designs, RiskWeighting.JOINT)) == first
+        assert (x1.tobytes(), x2.tobytes()) == before
+
+    def test_owned_designs_serve_one_risk(self):
+        inst = wide_instance()
+        designs = Replications(inst, 5, 2, seed=1)[0]
+        assert designs.owned
+        OCL().risk(designs, RiskWeighting.JOINT)
+        assert designs.x1 is None and designs.x2 is None
+
+    @pytest.mark.parametrize("d", [4100, 60])
+    def test_draws_equal_the_sampler_bit_for_bit(self, monkeypatch, d):
+        threads = []
+        draw = sampler.sample_gaussian_design
+
+        def recorded(s, n, seed):
+            threads.append(threading.get_ident())
+            return draw(s, n, seed)
+
+        monkeypatch.setattr(sampler, "sample_gaussian_design", recorded)
+        inst = make_problem_pk(3, d, Design.GAUSSIAN)
+        designs = Replication(inst, 9, 4, 2).designs()
+        seeds = [sampler.stream_seed(4, 2, tag) for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN)]
+        assert designs.x1.tobytes() == draw(inst.g, 9, seeds[0]).tobytes()
+        assert designs.x2.tobytes() == draw(inst.h, 9, seeds[1]).tobytes()
+        # X2 comes from a helper thread only above the dense limit
+        assert len(set(threads)) == (2 if d > 4096 else 1)
+
+    def test_one_hot_draws_stay_on_one_thread(self, monkeypatch):
+        threads = []
+        draw = sampler.sample_one_hot_design
+
+        def recorded(s, n, seed):
+            threads.append(threading.get_ident())
+            return draw(s, n, seed)
+
+        monkeypatch.setattr(sampler, "sample_one_hot_design", recorded)
+        Replication(make_problem_pk(3, 4100, Design.ONE_HOT), 6, 1, 0).designs()
+        assert threads == [threading.get_ident()] * 2
+
+    @pytest.mark.parametrize("weighting", list(RiskWeighting))
+    def test_joint_rows_match_svd_reference(self, weighting):
+        inst = wide_instance()
+        n, reps, seed = 7, 3, 2
+        est, dec = monte_carlo_expected_excess(inst, Joint(), n, reps, seed, weighting)
+        parts = []
+        for rep in range(reps):
+            replication = Replication(inst, n, seed, rep)
+            parts.append(svd_joint_risk(replication.x1, replication.x2, inst, weighting))
+        bias, variance = np.mean(parts, axis=0)
+        assert dec.bias == pytest.approx(bias, rel=1e-8, abs=1e-10)
+        assert dec.variance == pytest.approx(variance, rel=1e-8, abs=1e-10)
+        assert est.mean == pytest.approx(bias + variance, rel=1e-8)
 
 
 class TestAlgorithmProtocol:

@@ -65,6 +65,12 @@ class TestGaussianDesign:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (2, 1)
 
+    def test_bytes_are_the_scaled_standard_normal_draw(self):
+        s = make_spectrum(np.random.default_rng(1).uniform(0.1, 3.0, 37))
+        x = sample_gaussian_design(s, 11, seed=5)
+        z = np.random.default_rng(5).standard_normal((11, 37))
+        assert x.tobytes() == (z * np.sqrt(s.values)).tobytes()
+
 
 class TestLabels:
     def test_null_model(self):
