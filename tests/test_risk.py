@@ -197,7 +197,7 @@ class TestConditionalRisk:
             assert fast.bias == pytest.approx(dense.bias, abs=1e-10)
             assert fast.variance == pytest.approx(dense.variance, abs=1e-10)
 
-    def test_gram_path_matches_dense_path(self):
+    def test_gram_path_matches_dense_path(self, monkeypatch):
         from grclab.estimators import DEFAULT_OPTIONS
         from grclab.risk import _conditional_joint_gram, _conditional_sequential_gram
 
@@ -207,16 +207,21 @@ class TestConditionalRisk:
             inst = gaussian_instance(rng, d)
             x1 = sample_gaussian_design(inst.g, n1, int(rng.integers(2**31)))
             x2 = sample_gaussian_design(inst.h, n2, int(rng.integers(2**31)))
-            for weighting in RiskWeighting:
-                pairs = [
-                    (conditional_risk(x1, x2, inst, None, weighting),
-                     _conditional_sequential_gram(x1.copy(), x2.copy(), inst, weighting, DEFAULT_OPTIONS)),
-                    (conditional_risk_joint(x1, x2, inst, weighting),
-                     _conditional_joint_gram(x1.copy(), x2.copy(), inst, weighting, DEFAULT_OPTIONS)),
-                ]
-                for dense, gram in pairs:
-                    assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
-                    assert gram.variance == pytest.approx(dense.variance, rel=1e-8, abs=1e-10)
+            before = x1.tobytes(), x2.tobytes()
+            # one column block, then 64-column blocks with a partial last one
+            for block_columns in (4096, 64):
+                monkeypatch.setattr("grclab.risk._GRAM_BLOCK_COLUMNS", block_columns)
+                for weighting in RiskWeighting:
+                    pairs = [
+                        (conditional_risk(x1, x2, inst, None, weighting),
+                         _conditional_sequential_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+                        (conditional_risk_joint(x1, x2, inst, weighting),
+                         _conditional_joint_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+                    ]
+                    for dense, gram in pairs:
+                        assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
+                        assert gram.variance == pytest.approx(dense.variance, rel=1e-8, abs=1e-10)
+            assert (x1.tobytes(), x2.tobytes()) == before
 
     def test_bias_ignores_noise_level_and_variance_scales(self):
         rng = np.random.default_rng(6)
@@ -540,12 +545,15 @@ class TestWidePath:
         assert (OCL().risk(designs, RiskWeighting.JOINT), Joint().risk(designs, RiskWeighting.JOINT)) == first
         assert (x1.tobytes(), x2.tobytes()) == before
 
-    def test_owned_designs_serve_one_risk(self):
+    def test_monte_carlo_designs_serve_every_risk(self):
         inst = wide_instance()
         designs = Replications(inst, 5, 2, seed=1)[0]
-        assert designs.owned
-        OCL().risk(designs, RiskWeighting.JOINT)
-        assert designs.x1 is None and designs.x2 is None
+        before = designs.x1.tobytes(), designs.x2.tobytes()
+        risks = [algorithm.risk(designs, weighting)
+                 for algorithm in (OCL(), Joint(), OCL()) for weighting in RiskWeighting]
+        assert (designs.x1.tobytes(), designs.x2.tobytes()) == before
+        assert risks[:3] == risks[6:]
+        assert risks[0] == conditional_risk(designs.x1, designs.x2, inst, None, RiskWeighting.TASK1)
 
     @pytest.mark.parametrize("d", [4100, 60])
     def test_draws_equal_the_sampler_bit_for_bit(self, monkeypatch, d):
