@@ -4,7 +4,6 @@ from .errors import GrclabError
 from .estimators import SolveOptions, Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from .model import (
     Design,
-    IndexSet,
     ProblemInstance,
     RiskDecomposition,
     Spectrum,
@@ -21,8 +20,6 @@ from .regularizers import (
     Regularizer,
     corollary3_regularizer,
     onehot_frequency,
-    regularizer_from_text,
-    regularizer_to_text,
     sketch_regularizer,
     topk_empirical,
     topk_spectrum_regularizer,
@@ -44,14 +41,7 @@ from .risk import (
     monte_carlo_expected_excess,
     population_excess,
 )
-from .sampler import (
-    Dataset,
-    dump_dataset,
-    sample_gaussian_design,
-    sample_labels,
-    sample_one_hot_design,
-    stream_seed,
-)
+from .sampler import sample_gaussian_design, sample_labels, sample_one_hot_design, stream_seed
 from .theory import (
     BoundReport,
     gaussian_ocl_lower,

@@ -137,6 +137,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_from_fields(fields: dict) -> ExperimentConfig:
+    if "instance" in fields:
+        conflicting = sorted(fields.keys() & {"pk_k", "pk_d", "design"})
+        if conflicting:
+            raise ConfigParse(f"instance excludes {', '.join(conflicting)}: the instance file sets them")
     try:
         design = Design(fields.get("design", "gaussian"))
     except ValueError as exc:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD
-from .regularizers import Regularizer
+from .errors import DimensionMismatch
+from .regularizers import _as_regularizer
 
 NORMAL_PATH_MAX_D = 4096
 
@@ -121,24 +121,6 @@ def fit_ocl(x2, y2, w1: Weights, opts: SolveOptions = DEFAULT_OPTIONS) -> Weight
     return Weights(w1.w + v)
 
 
-def _sigma_sqrt_rows(sigma, d: int) -> np.ndarray:
-    """Rows W with W^T W = Sigma, for the stacked factorization path."""
-    if isinstance(sigma, Regularizer):
-        return sigma.sqrt_factor()
-    mat = np.asarray(sigma, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    if eigvals.size and eigvals[0] < -1e-12 * max(abs(eigvals[-1]), 1.0):
-        raise NotPSD(f"regularization matrix has eigenvalue {eigvals[0]}")
-    keep = eigvals > 0
-    return np.sqrt(eigvals[keep])[:, None] * eigvecs[:, keep].T
-
-
-def _is_zero_sigma(sigma) -> bool:
-    if isinstance(sigma, Regularizer):
-        return sigma.is_zero
-    return not np.any(np.asarray(sigma))
-
-
 def fit_grcl(x2, y2, w1: Weights, sigma, opts: SolveOptions = DEFAULT_OPTIONS) -> Weights:
     """Quadratically regularized second-phase fit with memory matrix Sigma.
 
@@ -155,19 +137,18 @@ def fit_grcl(x2, y2, w1: Weights, sigma, opts: SolveOptions = DEFAULT_OPTIONS) -
 
     Parameters
     ----------
-    sigma : Regularizer or (d, d) ndarray
-        PSD penalty metric.
+    sigma : Regularizer or None
+        PSD penalty metric; None means zero.
     """
     x2, y2 = _check_xy(x2, y2)
     n, d = x2.shape
     if w1.d != d:
         raise DimensionMismatch(f"w1 has d={w1.d}, X2 has d={d}")
-    if _is_zero_sigma(sigma):
+    sigma = _as_regularizer(sigma, d)
+    if sigma.is_zero:
         return fit_ocl(x2, y2, w1, opts)
     tol = opts.resolve(n, d)
-    w_rows = _sigma_sqrt_rows(sigma, d)
-    if w_rows.shape[1] != d:
-        raise DimensionMismatch(f"Sigma has d={w_rows.shape[1]}, X2 has d={d}")
+    w_rows = sigma.sqrt_factor()
     stacked = np.vstack([x2, np.sqrt(n) * w_rows])
     rhs = np.concatenate([y2 - x2 @ w1.w, np.zeros(w_rows.shape[0])])
     v = _minnorm_factor(stacked, rhs, tol)

@@ -1,4 +1,4 @@
-"""Problem definitions: spectra, instances, index sets, and the P(k) family.
+"""Problem definitions: spectra, instances, head masks, and the P(k) family.
 
 Both task covariances are diagonal in a shared basis, so a covariance is
 represented by its eigenvalue sequence alone.  All types are immutable
@@ -46,10 +46,6 @@ class Spectrum:
     @property
     def d(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def is_sorted_desc(self) -> bool:
-        return bool(np.all(np.diff(self.values) <= 0))
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -116,33 +112,6 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class IndexSet:
-    """A subset of coordinate indices in [0, d), with d fixed for complements."""
-
-    members: frozenset
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if any((i < 0 or i >= self.d) for i in self.members):
-            raise DimensionMismatch(f"index outside [0, {self.d})")
-
-    def complement(self) -> "IndexSet":
-        return IndexSet(frozenset(range(self.d)) - self.members, self.d)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.d, dtype=bool)
-        m[sorted(self.members)] = True
-        return m
-
-    def __contains__(self, i) -> bool:
-        return i in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class RiskDecomposition:
     """Excess risk split into a signal (bias) and a noise (variance) part."""
 
@@ -189,25 +158,24 @@ def make_problem_pk(k: int, d: int, design: Design = Design.GAUSSIAN) -> Problem
     )
 
 
-def one_hot_index_sets(s: Spectrum, n: int) -> IndexSet:
-    """Head coordinates {i : s_i >= 1/n} (non-strict threshold convention)."""
+def one_hot_index_sets(s: Spectrum, n: int) -> np.ndarray:
+    """Boolean mask of the head coordinates {i : s_i >= 1/n} (non-strict threshold)."""
     if n < 1:
         raise InvalidK(f"sample size must be >= 1, got {n}")
-    members = frozenset(np.flatnonzero(s.values >= 1.0 / n).tolist())
-    return IndexSet(members, s.d)
+    return s.values >= 1.0 / n
 
 
-def effective_rank(s: Spectrum, exclude: IndexSet | None = None) -> float:
-    """Trace over operator norm of the spectrum outside ``exclude``.
+def effective_rank(s: Spectrum, exclude: np.ndarray | None = None) -> float:
+    """Trace over operator norm of the spectrum outside the boolean mask ``exclude``.
 
     Returns 0 when the complement is empty or all-zero.
     """
-    if exclude is None:
-        exclude = IndexSet(frozenset(), s.d)
-    if exclude.d != s.d:
-        raise DimensionMismatch("exclude set sized for a different spectrum")
-    keep = ~exclude.mask()
-    tail = s.values[keep]
+    tail = s.values
+    if exclude is not None:
+        exclude = np.asarray(exclude, dtype=bool)
+        if exclude.shape != (s.d,):
+            raise DimensionMismatch(f"exclude mask has shape {exclude.shape}, spectrum has d={s.d}")
+        tail = tail[~exclude]
     if tail.size == 0:
         return 0.0
     top = tail.max()
@@ -216,8 +184,8 @@ def effective_rank(s: Spectrum, exclude: IndexSet | None = None) -> float:
     return float(math.fsum(tail.tolist()) / top)
 
 
-def gaussian_index_set(s: Spectrum, n: int, b2: float) -> IndexSet:
-    """Smallest strict-threshold head K with tail effective rank >= b2*n.
+def gaussian_index_set(s: Spectrum, n: int, b2: float) -> np.ndarray:
+    """Boolean mask of the smallest strict-threshold head K with tail effective rank >= b2*n.
 
     Candidate heads are K_t = {i : s_i > t} for t at each distinct
     eigenvalue, scanned from the largest threshold down; the first
@@ -249,8 +217,9 @@ def gaussian_index_set(s: Spectrum, n: int, b2: float) -> IndexSet:
         if top <= 0:
             continue
         if math.fsum(tail.tolist()) / top >= target:
-            members = frozenset(order[:head].tolist())
-            return IndexSet(members, s.d)
+            mask = np.zeros(s.d, dtype=bool)
+            mask[order[:head]] = True
+            return mask
     raise InfeasibleEffectiveRank(
         f"no threshold achieves tail effective rank >= {target}"
     )

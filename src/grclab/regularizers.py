@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, KTooLarge, NotDiagonal, NotOneHotDesign, NotPSD
+from .errors import DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
 from .model import Spectrum
 
 DIAGONAL = "diagonal"
@@ -66,11 +66,6 @@ class Regularizer:
             return not np.any(self.values)
         return self.factor.size == 0 or not np.any(self.factor)
 
-    def diagonal_values(self) -> np.ndarray:
-        if self.form != DIAGONAL:
-            raise NotDiagonal("regularizer is not in diagonal form")
-        return self.values
-
     def matrix(self) -> np.ndarray:
         """Densify to the full d x d PSD matrix."""
         if self.form == DIAGONAL:
@@ -89,6 +84,21 @@ class Regularizer:
 
 def zero_regularizer(d: int) -> Regularizer:
     return Regularizer(form=LOWRANK, factor=np.zeros((0, d)))
+
+
+def _as_regularizer(sigma, d: int) -> Regularizer:
+    """``sigma`` as a memory matrix in dimension d; None means zero.
+
+    A memory matrix is a :class:`Regularizer`, which checked that it is PSD
+    when it was built; any other type raises.
+    """
+    if sigma is None:
+        return zero_regularizer(d)
+    if not isinstance(sigma, Regularizer):
+        raise DimensionMismatch(f"Sigma must be a Regularizer or None, got {type(sigma).__name__}")
+    if sigma.d != d:
+        raise DimensionMismatch(f"Sigma has d={sigma.d}, need d={d}")
+    return sigma
 
 
 def check_topk_size(k: int, n: int, d: int) -> None:
@@ -115,6 +125,11 @@ def topk_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, k: int) -> Regulari
     return Regularizer(form=LOWRANK, factor=factor)
 
 
+def _is_one_hot_rows(x: np.ndarray) -> bool:
+    """Whether every row of the matrix ``x`` is a standard basis vector."""
+    return bool(np.all((x == 0.0) | (x == 1.0)) and np.all(x.sum(axis=1) == 1.0))
+
+
 def onehot_frequency(x1: np.ndarray, min_count: int = 1) -> Regularizer:
     """Diagonal Sigma of observed-atom frequencies count_i / n.
 
@@ -124,8 +139,7 @@ def onehot_frequency(x1: np.ndarray, min_count: int = 1) -> Regularizer:
     x1 = np.asarray(x1, dtype=float)
     if min_count < 1:
         raise KTooLarge(f"min_count must be >= 1, got {min_count}")
-    is_binary = np.all((x1 == 0.0) | (x1 == 1.0))
-    if x1.ndim != 2 or not is_binary or not np.all(x1.sum(axis=1) == 1.0):
+    if x1.ndim != 2 or not _is_one_hot_rows(x1):
         raise NotOneHotDesign("rows must be standard basis vectors")
     n = x1.shape[0]
     counts = x1.sum(axis=0)
@@ -166,35 +180,3 @@ def sketch_regularizer(x1: np.ndarray, k: int, seed) -> Regularizer:
     factor = np.zeros((k, d))
     np.add.at(factor, rows, signs[:, None] * x1)
     return Regularizer(form=LOWRANK, factor=factor / np.sqrt(n))
-
-
-# -- plain-text serialization -------------------------------------------------
-
-def regularizer_to_text(reg: Regularizer) -> str:
-    lines = [f"form={reg.form}"]
-    if reg.form == DIAGONAL:
-        lines.append("values=" + ",".join(repr(float(v)) for v in reg.values))
-    else:
-        lines.append(f"k={reg.factor.shape[0]}")
-        lines.append(f"d={reg.factor.shape[1]}")
-        for row in reg.factor:
-            lines.append("row=" + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def regularizer_from_text(text: str) -> Regularizer:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = dict(ln.partition("=")[::2] for ln in lines if not ln.startswith("row="))
-    form = header.get("form")
-    if form == DIAGONAL:
-        values = np.array([float(v) for v in header["values"].split(",")])
-        return Regularizer(form=DIAGONAL, values=values)
-    if form == LOWRANK:
-        k, d = int(header["k"]), int(header["d"])
-        rows = [ln.partition("=")[2] for ln in lines if ln.startswith("row=")]
-        if len(rows) != k:
-            raise DimensionMismatch(f"expected {k} factor rows, found {len(rows)}")
-        factor = np.array([[float(v) for v in row.split(",")] for row in rows])
-        factor = factor.reshape(k, d)
-        return Regularizer(form=LOWRANK, factor=factor)
-    raise DimensionMismatch(f"unknown regularizer form {form!r}")

@@ -31,6 +31,8 @@ from .estimators import (
 from .model import Design, ProblemInstance, RiskDecomposition
 from .regularizers import (
     Regularizer,
+    _as_regularizer,
+    _is_one_hot_rows,
     check_topk_size,
     corollary3_regularizer,
     onehot_frequency,
@@ -85,6 +87,7 @@ def population_excess(w: Weights, inst: ProblemInstance,
 
 
 def _check_designs(x1, x2, inst):
+    """Both designs as float matrices of width d; those of a one-hot instance are one-hot."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x1.ndim != 2 or x2.ndim != 2:
@@ -93,31 +96,9 @@ def _check_designs(x1, x2, inst):
         raise DimensionMismatch(
             f"designs have d={x1.shape[1]}, {x2.shape[1]}; instance has d={inst.d}"
         )
+    if inst.design is Design.ONE_HOT and not (_is_one_hot_rows(x1) and _is_one_hot_rows(x2)):
+        raise NotOneHotDesign("a one-hot instance needs designs of standard basis rows")
     return x1, x2
-
-
-def _is_one_hot_matrix(x: np.ndarray) -> bool:
-    return bool(np.all((x == 0.0) | (x == 1.0)) and np.all(x.sum(axis=1) == 1.0))
-
-
-def _sigma_as_regularizer(sigma, d: int) -> Regularizer:
-    if sigma is None:
-        return zero_regularizer(d)
-    if isinstance(sigma, Regularizer):
-        if sigma.d != d:
-            raise DimensionMismatch(f"Sigma has d={sigma.d}, instance has d={d}")
-        return sigma
-    mat = np.asarray(sigma, dtype=float)
-    if mat.shape != (d, d):
-        raise DimensionMismatch(f"Sigma has shape {mat.shape}, need ({d}, {d})")
-    if np.array_equal(mat, np.diag(np.diagonal(mat))):
-        return Regularizer(form="diagonal", values=np.diagonal(mat).copy())
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    if eigvals[0] < -1e-12 * max(abs(eigvals[-1]), 1.0):
-        raise NotPSD(f"regularization matrix has eigenvalue {eigvals[0]}")
-    keep = eigvals > 0
-    factor = np.sqrt(eigvals[keep])[:, None] * eigvecs[:, keep].T
-    return Regularizer(form="lowrank", factor=factor)
 
 
 def _split_spectrum(eigvals: np.ndarray, cutoff_ratio: float):
@@ -233,7 +214,7 @@ _GRAM_BLOCK_COLUMNS = 4096
 
 
 def _wide(inst: ProblemInstance) -> bool:
-    """Whether Monte Carlo on ``inst`` takes the Gram path, by its declared design."""
+    """Whether ``inst`` is Gaussian above the dense limit, so its risks take the Gram path."""
     return inst.design is Design.GAUSSIAN and inst.d > NORMAL_PATH_MAX_D
 
 
@@ -348,21 +329,22 @@ def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
     Covers the whole Sigma family: Sigma = 0 is the unregularized update
     (the propagation map degenerates to the task-2 null-space projection),
     Sigma = gamma I the l2-penalized one, general PSD Sigma the structural
-    one.  One-hot designs with diagonal Sigma take an exact O(d)
-    coordinate path; the dense path agrees with it to rounding.  Sigma = 0
-    above ``NORMAL_PATH_MAX_D`` takes the n x n Gram path.  The designs
-    are never modified.
+    one.  The path follows the instance's declared design: one-hot
+    instances with diagonal Sigma take an exact O(d) coordinate path (the
+    dense path agrees with it to rounding), and Sigma = 0 above
+    ``NORMAL_PATH_MAX_D`` takes the n x n Gram path.  The designs are
+    never modified.
 
     Parameters
     ----------
-    sigma : Regularizer, (d, d) ndarray, or None
+    sigma : Regularizer or None
         PSD penalty; None means zero.
     """
     x1, x2 = _check_designs(x1, x2, inst)
-    reg = _sigma_as_regularizer(sigma, inst.d)
+    reg = _as_regularizer(sigma, inst.d)
     n2 = x2.shape[0]
     diagonal_like = reg.is_zero or reg.is_diagonal
-    if diagonal_like and _is_one_hot_matrix(x1) and _is_one_hot_matrix(x2):
+    if diagonal_like and inst.design is Design.ONE_HOT:
         gamma = reg.values if reg.is_diagonal else np.zeros(inst.d)
         return _conditional_sequential_onehot(
             x1.sum(axis=0), x2.sum(axis=0), n2, inst, gamma, weighting
@@ -377,12 +359,13 @@ def conditional_risk_joint(x1, x2, inst: ProblemInstance,
                            opts: SolveOptions = DEFAULT_OPTIONS) -> RiskDecomposition:
     """Noise-expected excess risk of the stacked min-norm fit, fixed designs.
 
-    Above ``NORMAL_PATH_MAX_D`` it takes the n x n Gram path.  The designs
-    are never modified.
+    One-hot instances take an exact O(d) coordinate path, and Gaussian
+    ones wider than ``NORMAL_PATH_MAX_D`` the n x n Gram path.  The
+    designs are never modified.
     """
     x1, x2 = _check_designs(x1, x2, inst)
     m = weight_vector(inst, weighting)
-    if _is_one_hot_matrix(x1) and _is_one_hot_matrix(x2):
+    if inst.design is Design.ONE_HOT:
         c = x1.sum(axis=0) + x2.sum(axis=0)
         pw = np.where(c == 0, inst.w_star, 0.0)
         bias = float(m @ (pw * pw))
@@ -579,8 +562,9 @@ class Designs:
     """A drawn pair of designs, for Monte Carlo off the dense path and the oracle.
 
     ``memory_seed`` derives from the (seed, rep) stream only when read.
-    A Gaussian pair above ``NORMAL_PATH_MAX_D`` takes the Gram path,
-    chosen by the declared design without scanning the arrays.
+    Its risks are those of the public functions, which pick the path by
+    the declared design: a Gaussian pair above ``NORMAL_PATH_MAX_D``
+    takes the Gram path without scanning the arrays.
     """
 
     __slots__ = ("inst", "x1", "x2", "n", "seed", "rep")
@@ -598,13 +582,9 @@ class Designs:
         return topk_empirical(self.x1, k)
 
     def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
-        if _wide(self.inst) and _sigma_as_regularizer(memory, self.inst.d).is_zero:
-            return _conditional_sequential_gram(self.x1, self.x2, self.inst, weighting, DEFAULT_OPTIONS)
         return conditional_risk(self.x1, self.x2, self.inst, memory, weighting)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
-        if _wide(self.inst):
-            return _conditional_joint_gram(self.x1, self.x2, self.inst, weighting, DEFAULT_OPTIONS)
         return conditional_risk_joint(self.x1, self.x2, self.inst, weighting)
 
 
@@ -668,7 +648,7 @@ class Replication:
         return self.normal().topk(k)
 
     def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
-        reg = _sigma_as_regularizer(memory, self.inst.d)
+        reg = _as_regularizer(memory, self.inst.d)
         return _sequential_risk(self.normal(), self.inst, reg, weighting, DEFAULT_OPTIONS)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:

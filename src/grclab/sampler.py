@@ -8,8 +8,6 @@ scheduling order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotAProbabilitySpectrum
@@ -31,34 +29,6 @@ def stream_seed(master_seed: int, replication: int, tag: int) -> int:
 
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A sampled design with its labels and the seed that produced them."""
-
-    x: np.ndarray
-    y: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if x.ndim != 2 or x.shape[0] != y.shape[0]:
-            raise DimensionMismatch(f"X is {x.shape} but y has length {y.shape[0]}")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def is_one_hot(self) -> bool:
-        return bool(
-            np.all((self.x == 0.0) | (self.x == 1.0))
-            and np.all(self.x.sum(axis=1) == 1.0)
-        )
-
-    def dump(self, path) -> None:
-        dump_dataset(path, self.x, self.y)
 
 
 def sample_one_hot_design(s: Spectrum, n: int, seed) -> np.ndarray:
@@ -95,12 +65,3 @@ def sample_labels(x: np.ndarray, w_star: np.ndarray, sigma2: float, seed) -> np.
         raise DimensionMismatch(f"sigma2 must be nonnegative, got {sigma2}")
     noise = np.sqrt(sigma2) * _rng(seed).standard_normal(x.shape[0])
     return x @ w_star + noise
-
-
-def dump_dataset(path, x: np.ndarray, y: np.ndarray) -> None:
-    """Write samples to a delimited text file, last column = label."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(f"{x.shape[0]} rows but {y.shape[0]} labels")
-    np.savetxt(path, np.column_stack([x, y]), delimiter="\t")

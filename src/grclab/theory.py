@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexSetTooLarge, NotDiagonal, NotOneHot
-from .model import (
-    Design,
-    IndexSet,
-    ProblemInstance,
-    gaussian_index_set,
-    one_hot_index_sets,
-)
+from .model import Design, ProblemInstance, gaussian_index_set, one_hot_index_sets
 from .regularizers import Regularizer
 
 ONE_HOT_WINDOW = (1.0 / 300.0, 300.0)
@@ -55,8 +49,8 @@ def joint_theory_one_hot(inst: ProblemInstance, n: int) -> BoundReport:
     _require_one_hot(inst)
     mu, lam, w2 = inst.g.values, inst.h.values, inst.w_star**2
     bias = math.fsum(((1 - mu) ** n * (1 - lam) ** n * (mu + lam) * w2).tolist())
-    j = one_hot_index_sets(inst.g, n).mask()
-    k = one_hot_index_sets(inst.h, n).mask()
+    j = one_hot_index_sets(inst.g, n)
+    k = one_hot_index_sets(inst.h, n)
     dead = ~j & ~k
     var = (inst.sigma2 / n) * (
         int(np.count_nonzero(j | k))
@@ -81,8 +75,8 @@ def grcl_theory_one_hot(inst: ProblemInstance, sigma: Regularizer, n: int) -> Bo
     if gamma.shape[0] != inst.d:
         raise NotDiagonal(f"Sigma has d={gamma.shape[0]}, instance has d={inst.d}")
     mu, lam, w2 = inst.g.values, inst.h.values, inst.w_star**2
-    j = one_hot_index_sets(inst.g, n).mask()
-    k = one_hot_index_sets(inst.h, n).mask()
+    j = one_hot_index_sets(inst.g, n)
+    k = one_hot_index_sets(inst.h, n)
 
     shrink = np.zeros(inst.d)
     pos = gamma > 0
@@ -108,8 +102,8 @@ def ocl_gap_one_hot(inst: ProblemInstance, n: int) -> float:
     """Surrogate for the excess of unregularized CL over joint learning."""
     _require_one_hot(inst)
     mu, lam = inst.g.values, inst.h.values
-    j = one_hot_index_sets(inst.g, n).mask()
-    k = one_hot_index_sets(inst.h, n).mask()
+    j = one_hot_index_sets(inst.g, n)
+    k = one_hot_index_sets(inst.h, n)
     head = math.fsum(np.divide(mu, lam, out=np.zeros(inst.d), where=k)[k].tolist())
     cross = math.fsum((mu * lam)[j & ~k].tolist())
     return (inst.sigma2 / n) * (head + n**2 * cross)
@@ -125,7 +119,7 @@ def l2rcl_upper_one_hot(inst: ProblemInstance, gamma: float, n: int) -> float:
     if gamma <= 0:
         raise NotDiagonal(f"gamma must be positive, got {gamma}")
     mu, lam = inst.g.values, inst.h.values
-    ju_k = one_hot_index_sets(inst.g, n).mask() | one_hot_index_sets(inst.h, n).mask()
+    ju_k = one_hot_index_sets(inst.g, n) | one_hot_index_sets(inst.h, n)
     terms = mu / (lam + 1.0 / n + gamma) + gamma / (mu + 1.0 / n)
     head = math.fsum(terms[ju_k].tolist())
     w_norm2 = float(inst.w_star @ inst.w_star)
@@ -137,13 +131,12 @@ def l2rcl_upper_one_hot(inst: ProblemInstance, gamma: float, n: int) -> float:
 def _gaussian_heads(inst: ProblemInstance, n: int, b1: float, b2: float):
     if inst.design is not Design.GAUSSIAN:
         raise NotOneHot("this bound holds in the Gaussian design only")
-    j_set: IndexSet = gaussian_index_set(inst.g, n, b2)
-    k_set: IndexSet = gaussian_index_set(inst.h, n, b2)
-    if len(j_set) > b1 * n or len(k_set) > b1 * n:
-        raise IndexSetTooLarge(
-            f"|J|={len(j_set)}, |K|={len(k_set)} exceed b1*n={b1 * n}"
-        )
-    return j_set.mask(), k_set.mask()
+    j = gaussian_index_set(inst.g, n, b2)
+    k = gaussian_index_set(inst.h, n, b2)
+    j_size, k_size = int(np.count_nonzero(j)), int(np.count_nonzero(k))
+    if j_size > b1 * n or k_size > b1 * n:
+        raise IndexSetTooLarge(f"|J|={j_size}, |K|={k_size} exceed b1*n={b1 * n}")
+    return j, k
 
 
 def _head_inflation(values: np.ndarray, head: np.ndarray, n: int) -> tuple[np.ndarray, float]:

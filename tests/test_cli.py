@@ -386,10 +386,11 @@ class TestWidePath:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def bad_instance(tmp_path, sigma2):
+def instance_line(tmp_path, sigma2):
+    """An ``instance =`` config line for P(3) at d=8 with noise level ``sigma2``."""
     inst = make_problem_pk(3, 8, Design.GAUSSIAN)
     text = instance_to_text(inst).replace("sigma2=1.0", f"sigma2={sigma2}")
-    path = tmp_path / "inst.txt"
+    path = tmp_path / f"inst-{sigma2}.txt"
     path.write_text(text)
     return f"instance = {path}"
 
@@ -408,6 +409,8 @@ BAD_CONFIGS = {
     "inf-noise": ("sweep-k", "n = 40\nk_values = 1\nalgorithms = grcl:topk:1\n{inf}"),
     "negative-seed": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = ocl\nseed = -1"),
     "threads": ("sweep-k", "pk_k = 3\npk_d = 8\nn = 40\nk_values = 1\nalgorithms = grcl:topk:1"),
+    "instance-and-design": ("sweep-n", "{ok}\ndesign = one_hot\nn_values = 40\nalgorithms = ocl"),
+    "instance-and-pk": ("sweep-k", "{ok}\npk_d = 500\nn = 40\nk_values = 1\nalgorithms = grcl:topk:1"),
 }
 
 
@@ -418,7 +421,11 @@ class TestFailFast:
         if case == "threads":
             monkeypatch.setenv("GRCL_THREADS", "garbage")
         out = tmp_path / "out.csv"
-        body = body.format(nan=bad_instance(tmp_path, "nan"), inf=bad_instance(tmp_path, "inf"))
+        body = body.format(
+            nan=instance_line(tmp_path, "nan"),
+            inf=instance_line(tmp_path, "inf"),
+            ok=instance_line(tmp_path, "1.0"),
+        )
         path = write_config(tmp_path / "c.cfg", f"{body}\nreps = 2\noutput = {out}\n")
         assert main([command, "--config", path]) == 2
         captured = capsys.readouterr()

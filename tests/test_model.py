@@ -14,7 +14,6 @@ from grclab.errors import (
 )
 from grclab.model import (
     Design,
-    IndexSet,
     ProblemInstance,
     RiskDecomposition,
     effective_rank,
@@ -49,10 +48,6 @@ class TestMakeSpectrum:
         vals = np.full(7, 1.0 / 7)  # sums to 1 only approximately
         s = make_spectrum(vals, one_hot=True)
         assert math.fsum(s.values.tolist()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sorted_query_matches_contents(self):
-        assert make_spectrum([3.0, 2.0, 2.0, 0.5]).is_sorted_desc
-        assert not make_spectrum([1.0, 2.0]).is_sorted_desc
 
     def test_values_immutable(self):
         s = make_spectrum([1.0, 2.0])
@@ -102,28 +97,22 @@ class TestProblemPk:
 class TestIndexSets:
     def test_single_atom(self):
         s = make_spectrum([1.0], one_hot=True)
-        assert one_hot_index_sets(s, 4).members == {0}
+        np.testing.assert_array_equal(one_hot_index_sets(s, 4), [True])
 
     def test_boundary_included(self):
         s = make_spectrum([0.5, 0.25, 0.25], one_hot=True)
-        assert one_hot_index_sets(s, 4).members == {0, 1, 2}
+        np.testing.assert_array_equal(one_hot_index_sets(s, 4), [True, True, True])
 
     def test_direct_threshold(self):
         s = make_spectrum([0.9, 0.05, 0.05], one_hot=True)
-        assert one_hot_index_sets(s, 10).members == {0}
+        np.testing.assert_array_equal(one_hot_index_sets(s, 10), [True, False, False])
 
     @given(st.integers(1, 50), st.integers(1, 50))
     def test_monotone_in_n(self, n1, n2):
         if n1 > n2:
             n1, n2 = n2, n1
         s = make_spectrum([0.4, 0.3, 0.2, 0.06, 0.04], one_hot=True)
-        assert one_hot_index_sets(s, n1).members <= one_hot_index_sets(s, n2).members
-
-    def test_complement(self):
-        idx = IndexSet(frozenset({0, 2}), 4)
-        assert idx.complement().members == {1, 3}
-        with pytest.raises(DimensionMismatch):
-            IndexSet(frozenset({5}), 3)
+        assert not np.any(one_hot_index_sets(s, n1) & ~one_hot_index_sets(s, n2))
 
 
 class TestEffectiveRank:
@@ -132,7 +121,7 @@ class TestEffectiveRank:
 
     def test_single_survivor(self):
         s = make_spectrum([1.0, 0.5])
-        assert effective_rank(s, IndexSet(frozenset({0}), 2)) == 1.0
+        assert effective_rank(s, np.array([True, False])) == 1.0
 
     def test_geometric_tail(self):
         vals = 0.5 ** np.arange(1, 21)
@@ -142,9 +131,13 @@ class TestEffectiveRank:
 
     def test_empty_or_zero_complement(self):
         s = make_spectrum([1.0, 2.0])
-        assert effective_rank(s, IndexSet(frozenset({0, 1}), 2)) == 0.0
+        assert effective_rank(s, np.array([True, True])) == 0.0
         z = make_spectrum([0.0, 0.0])
         assert effective_rank(z) == 0.0
+
+    def test_wrong_length_mask_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            effective_rank(make_spectrum([1.0, 0.5, 0.25]), np.array([True, False]))
 
     @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=12))
     @settings(max_examples=60)
@@ -167,7 +160,7 @@ class TestGaussianIndexSet:
         b2, n = 2.0, 5
         d = int(10 * b2 * n)
         s = make_spectrum(np.full(d, 1.0 / d))
-        assert gaussian_index_set(s, n, b2).members == frozenset()
+        assert not np.any(gaussian_index_set(s, n, b2))
 
     def test_power_law_scan(self):
         d, n, b2 = 10**5, 500, 1.0
@@ -175,13 +168,14 @@ class TestGaussianIndexSet:
         s = make_spectrum(1.0 / (i * np.log(i + 1) ** 2))
         k = gaussian_index_set(s, n, b2)
         # head is a by-value prefix of a decreasing spectrum
-        i_star = len(k)
-        assert k.members == frozenset(range(i_star))
+        i_star = int(np.count_nonzero(k))
+        assert k.dtype == bool and k.shape == (d,)
+        assert np.all(k[:i_star]) and not np.any(k[i_star:])
         # characteristic scaling: i* log i* within a constant of n
         assert 0.2 * n <= i_star * math.log(i_star) <= 5 * n
         # feasibility and threshold maximality
         assert effective_rank(s, k) >= b2 * n
-        smaller = IndexSet(frozenset(range(i_star - 1)), d)
+        smaller = np.arange(d) < i_star - 1
         assert effective_rank(s, smaller) < b2 * n
 
     def test_output_satisfies_target(self):

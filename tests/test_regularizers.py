@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from grclab.errors import KTooLarge, NotDiagonal, NotOneHotDesign, NotPSD
+from grclab.errors import KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl
 from grclab.model import make_spectrum
 from grclab.regularizers import (
     Regularizer,
     corollary3_regularizer,
     onehot_frequency,
-    regularizer_from_text,
-    regularizer_to_text,
     sketch_regularizer,
     topk_empirical,
     topk_spectrum_regularizer,
@@ -172,10 +170,6 @@ class TestRegularizerType:
         assert Regularizer(form="lowrank", factor=np.ones((3, 4))).memory_size == 3
         assert zero_regularizer(6).memory_size == 0
 
-    def test_diagonal_values_requires_diagonal(self):
-        with pytest.raises(NotDiagonal):
-            Regularizer(form="lowrank", factor=np.ones((1, 2))).diagonal_values()
-
     def test_representation_independence_in_grcl(self):
         # the fit depends on Sigma as a matrix, not on its encoding
         rng = np.random.default_rng(5)
@@ -191,18 +185,3 @@ class TestRegularizerType:
         np.testing.assert_allclose(
             fit_grcl(x2, y2, w1, diag).w, fit_grcl(x2, y2, w1, low).w, atol=1e-10
         )
-
-
-class TestSerialization:
-    def test_diagonal_round_trip(self):
-        reg = Regularizer(form="diagonal", values=np.array([0.25, 0.0, 1.5]))
-        back = regularizer_from_text(regularizer_to_text(reg))
-        assert back.form == "diagonal"
-        np.testing.assert_array_equal(back.values, reg.values)
-
-    def test_lowrank_round_trip(self):
-        reg = Regularizer(form="lowrank", factor=np.arange(6.0).reshape(2, 3))
-        back = regularizer_from_text(regularizer_to_text(reg))
-        assert back.form == "lowrank"
-        np.testing.assert_array_equal(back.factor, reg.factor)
-        assert back.memory_size == 2

@@ -6,12 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grclab import sampler
-from grclab.errors import ConfigParse, DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
+from grclab.errors import ConfigParse, DimensionMismatch, GrclabError, KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
-from grclab.estimators import eigen_cutoff_ratio
+from grclab.estimators import DEFAULT_OPTIONS, eigen_cutoff_ratio
 from grclab.regularizers import Regularizer, sketch_regularizer, topk_empirical, zero_regularizer
 from grclab.risk import (
     GRCL,
@@ -34,6 +36,7 @@ from grclab.risk import (
     weight_vector,
     worker_count,
 )
+from grclab.risk import _conditional_joint_gram, _conditional_sequential_gram, _joint_risk
 from grclab.sampler import sample_gaussian_design, sample_one_hot_design
 
 
@@ -179,28 +182,85 @@ class TestConditionalRisk:
             population_excess(Weights(base), inst), abs=1e-8
         )
 
-    def test_fast_path_matches_dense_path(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            d = int(rng.integers(2, 7))
-            inst = one_hot_instance(rng, d)
-            x1 = sample_one_hot_design(inst.g, 9, int(rng.integers(2**31)))
-            x2 = sample_one_hot_design(inst.h, 9, int(rng.integers(2**31)))
-            gamma = rng.uniform(0.0, 1.0, d) * (rng.random(d) < 0.5)
-            diag = Regularizer(form="diagonal", values=gamma)
-            nz = np.flatnonzero(gamma)
-            factor = np.zeros((nz.size, d))
-            factor[np.arange(nz.size), nz] = np.sqrt(gamma[nz])
-            low = Regularizer(form="lowrank", factor=factor)  # forces dense path
-            fast = conditional_risk(x1, x2, inst, diag)
-            dense = conditional_risk(x1, x2, inst, low)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 7), n1=st.integers(1, 13), n2=st.integers(1, 13),
+        seed=st.integers(0, 2**32 - 1), data=st.data(),
+    )
+    def test_fast_path_matches_dense_path(self, d, n1, n2, seed, data):
+        rng = np.random.default_rng(seed)
+        inst = one_hot_instance(rng, d)
+        x1 = sample_one_hot_design(inst.g, n1, int(rng.integers(2**31)))
+        x2 = sample_one_hot_design(inst.h, n2, int(rng.integers(2**31)))
+        entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+        gamma = np.array(data.draw(st.lists(entry, min_size=d, max_size=d)))
+        diag = Regularizer(form="diagonal", values=gamma)
+        nz = np.flatnonzero(gamma)
+        factor = np.zeros((nz.size, d))
+        factor[np.arange(nz.size), nz] = np.sqrt(gamma[nz])
+        low = Regularizer(form="lowrank", factor=factor)  # forces dense path
+        normal = NormalMatrices.of(x1, x2)
+        for weighting in RiskWeighting:
+            fast = conditional_risk(x1, x2, inst, diag, weighting)
+            dense = conditional_risk(x1, x2, inst, low, weighting)
+            assert fast.bias == pytest.approx(dense.bias, abs=1e-10)
+            assert fast.variance == pytest.approx(dense.variance, abs=1e-10)
+            fast = conditional_risk_joint(x1, x2, inst, weighting)
+            dense = _joint_risk(normal, inst, weighting, DEFAULT_OPTIONS)
             assert fast.bias == pytest.approx(dense.bias, abs=1e-10)
             assert fast.variance == pytest.approx(dense.variance, abs=1e-10)
 
-    def test_gram_path_matches_dense_path(self, monkeypatch):
-        from grclab.estimators import DEFAULT_OPTIONS
-        from grclab.risk import _conditional_joint_gram, _conditional_sequential_gram
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n1=st.integers(1, 30), n2=st.integers(1, 30), extra=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_path_matches_dense_path_when_wide(self, n1, n2, extra, seed):
+        rng = np.random.default_rng(seed)
+        d = n1 + n2 + extra
+        inst = ProblemInstance(
+            w_star=rng.standard_normal(d),
+            sigma2=1.0,
+            g=make_spectrum(rng.uniform(0.01, 1.0, d)),
+            h=make_spectrum(rng.uniform(0.01, 1.0, d)),
+            design=Design.GAUSSIAN,
+        )
+        x1 = sample_gaussian_design(inst.g, n1, int(rng.integers(2**31)))
+        x2 = sample_gaussian_design(inst.h, n2, int(rng.integers(2**31)))
+        for weighting in RiskWeighting:
+            pairs = [
+                (conditional_risk(x1, x2, inst, None, weighting),
+                 _conditional_sequential_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+                (conditional_risk_joint(x1, x2, inst, weighting),
+                 _conditional_joint_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+            ]
+            for dense, gram in pairs:
+                assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
+                assert gram.variance == pytest.approx(dense.variance, rel=1e-8, abs=1e-10)
 
+    def test_gaussian_designs_are_not_scanned(self, monkeypatch):
+        def scan(x):
+            raise AssertionError("a Gaussian design was scanned for one-hot rows")
+
+        monkeypatch.setattr("grclab.risk._is_one_hot_rows", scan)
+        rng = np.random.default_rng(22)
+        inst = gaussian_instance(rng, 4)
+        x1 = sample_gaussian_design(inst.g, 6, 0)
+        x2 = sample_gaussian_design(inst.h, 6, 1)
+        conditional_risk(x1, x2, inst, Regularizer(form="diagonal", values=np.full(4, 0.3)))
+        conditional_risk_joint(x1, x2, inst)
+
+    def test_one_hot_instance_rejects_dense_designs(self):
+        rng = np.random.default_rng(23)
+        inst = one_hot_instance(rng, 3)
+        x1 = sample_one_hot_design(inst.g, 5, 0)
+        dense = sample_gaussian_design(make_spectrum(np.ones(3)), 5, 1)
+        with pytest.raises(NotOneHotDesign):
+            conditional_risk(x1, dense, inst, None)
+        with pytest.raises(NotOneHotDesign):
+            conditional_risk_joint(dense, x1, inst)
+
+    def test_gram_path_matches_dense_path(self, monkeypatch):
         rng = np.random.default_rng(21)
         shapes = [(6, 8, 4), (5, 5, 12), (9, 4, 9), (40, 25, 300), (25, 40, 300), (200, 150, 120)]
         for n1, n2, d in shapes:
@@ -262,7 +322,7 @@ class TestConditionalRisk:
     def test_rejects_non_psd(self):
         inst = gaussian_instance(np.random.default_rng(9), 2)
         x = np.ones((3, 2))
-        with pytest.raises(NotPSD):
+        with pytest.raises(GrclabError, match="ndarray"):
             conditional_risk(x, x, inst, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_dimension_mismatch(self):

@@ -8,7 +8,6 @@ from grclab.sampler import (
     TASK1_NOISE,
     TASK2_DESIGN,
     TASK2_NOISE,
-    dump_dataset,
     sample_gaussian_design,
     sample_labels,
     sample_one_hot_design,
@@ -113,35 +112,3 @@ class TestStreams:
 
     def test_stream_seed_stable(self):
         assert stream_seed(1, 2, 3) == stream_seed(1, 2, 3)
-
-
-def test_dump_dataset(tmp_path):
-    x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    y = np.array([0.5, -0.5])
-    path = tmp_path / "data.tsv"
-    dump_dataset(path, x, y)
-    loaded = np.loadtxt(path, delimiter="\t")
-    np.testing.assert_allclose(loaded[:, :2], x)
-    np.testing.assert_allclose(loaded[:, 2], y)
-
-
-class TestDataset:
-    def test_row_count_invariant(self):
-        from grclab.sampler import Dataset
-
-        with pytest.raises(DimensionMismatch):
-            Dataset(x=np.ones((3, 2)), y=np.ones(2), seed=0)
-
-    def test_one_hot_query_and_dump(self, tmp_path):
-        from grclab.sampler import Dataset
-
-        s = make_spectrum([0.4, 0.6], one_hot=True)
-        x = sample_one_hot_design(s, 6, seed=12)
-        y = sample_labels(x, np.array([1.0, -1.0]), 0.5, seed=13)
-        ds = Dataset(x=x, y=y, seed=12)
-        assert ds.is_one_hot()
-        assert not Dataset(x=np.full((2, 2), 0.5), y=np.zeros(2), seed=0).is_one_hot()
-        path = tmp_path / "ds.tsv"
-        ds.dump(path)
-        loaded = np.loadtxt(path, delimiter="\t")
-        np.testing.assert_allclose(loaded[:, -1], y)

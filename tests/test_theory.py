@@ -176,7 +176,7 @@ class TestGrclTheory:
         instances.append(one_hot_inst(mu, lam, np.ones(12) / math.sqrt(12)))
         for inst in instances:
             for n in (20, 100):
-                head = len(one_hot_index_sets(inst.g, n))
+                head = int(np.count_nonzero(one_hot_index_sets(inst.g, n)))
                 variances = [
                     grcl_theory_one_hot(
                         inst, topk_spectrum_regularizer(inst.g, k), n
@@ -317,8 +317,8 @@ class TestGaussianBounds:
     def test_lower_transcription(self):
         inst = heavy_tail_instance()
         n, b2 = 100, 2.0
-        j = gaussian_index_set(inst.g, n, b2).mask()
-        k = gaussian_index_set(inst.h, n, b2).mask()
+        j = gaussian_index_set(inst.g, n, b2)
+        k = gaussian_index_set(inst.h, n, b2)
         rep = gaussian_ocl_lower(inst, n, b1=0.25, b2=b2)
         bias, var = gaussian_lower_transcription(inst, n, j, k)
         assert rep.bias_surrogate == pytest.approx(bias, rel=1e-12)
@@ -330,8 +330,8 @@ class TestGaussianBounds:
         mu = np.concatenate([rng.uniform(0.5, 2.0, 6), np.full(d - 6, 1e-3)])
         lam = np.concatenate([rng.uniform(0.5, 2.0, 6), np.full(d - 6, 2e-3)])
         inst = gaussian_inst(mu, lam, rng.standard_normal(d))
-        j = gaussian_index_set(inst.g, n, b2).mask()
-        k = gaussian_index_set(inst.h, n, b2).mask()
+        j = gaussian_index_set(inst.g, n, b2)
+        k = gaussian_index_set(inst.h, n, b2)
         rep = gaussian_ocl_upper(inst, n, b1=0.5, b2=b2)
         bias, var = gaussian_upper_transcription(inst, n, j, k)
         assert rep.bias_surrogate == pytest.approx(bias, rel=1e-12)
@@ -345,7 +345,7 @@ class TestGaussianBounds:
         w = np.zeros(d)
         w[:4] = 0.5
         inst = gaussian_inst(mu, mu, w)
-        j = gaussian_index_set(inst.g, n, 2.0).mask()
+        j = gaussian_index_set(inst.g, n, 2.0)
         rep = gaussian_ocl_upper(inst, n, b1=0.5, b2=2.0)
         tr_tail = float(np.sum(mu[~j]))
         head_term = tr_tail**2 / n**2 * float(np.sum(w[j] ** 2 / mu[j]))
@@ -375,8 +375,8 @@ class TestGaussianBounds:
         for n in (500, 1000, 2000):
             inst = gaussian_inst(mu, lam, w)
             rep = gaussian_ocl_lower(inst, n, b1=0.5, b2=1.0)
-            j = gaussian_index_set(inst.g, n, 1.0).mask()
-            k = gaussian_index_set(inst.h, n, 1.0).mask()
+            j = gaussian_index_set(inst.g, n, 1.0)
+            k = gaussian_index_set(inst.h, n, 1.0)
             bias, var = gaussian_lower_transcription(inst, n, j, k)
             assert rep.variance_surrogate == pytest.approx(var, rel=1e-12)
             values[n] = rep.variance_surrogate
