@@ -130,6 +130,8 @@ def load_config(path: str) -> ExperimentConfig:
                 key = key.strip()
                 if key not in _KNOWN_KEYS:
                     raise ConfigParse(f"{path}:{lineno}: unknown key {key!r}")
+                if key in fields:
+                    raise ConfigParse(f"{path}:{lineno}: key {key!r} given twice")
                 fields[key] = value.strip()
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc

@@ -244,15 +244,25 @@ def instance_to_text(inst: ProblemInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INSTANCE_KEYS = ("d", "sigma2", "g", "h", "w_star", "design")
+
+
 def instance_from_text(text: str) -> ProblemInstance:
     """Parse the key=value exchange format back into an instance."""
     fields = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise DimensionMismatch(f"bad instance text, line {lineno}: expected key=value")
+        if key not in _INSTANCE_KEYS:
+            raise DimensionMismatch(f"bad instance text, line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise DimensionMismatch(f"bad instance text, line {lineno}: key {key!r} given twice")
+        fields[key] = value.strip()
     try:
         d = int(fields["d"])
         sigma2 = float(fields["sigma2"])

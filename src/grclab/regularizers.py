@@ -141,8 +141,11 @@ def onehot_frequency(x1: np.ndarray, min_count: int = 1) -> Regularizer:
         raise KTooLarge(f"min_count must be >= 1, got {min_count}")
     if x1.ndim != 2 or not _is_one_hot_rows(x1):
         raise NotOneHotDesign("rows must be standard basis vectors")
-    n = x1.shape[0]
-    counts = x1.sum(axis=0)
+    return _count_frequency(x1.sum(axis=0), x1.shape[0], min_count)
+
+
+def _count_frequency(counts: np.ndarray, n: int, min_count: int = 1) -> Regularizer:
+    """Diagonal Sigma of counts / n over the atoms counted at least ``min_count`` times."""
     gamma = np.where(counts >= min_count, counts / n, 0.0)
     return Regularizer(form=DIAGONAL, values=gamma)
 

@@ -32,10 +32,10 @@ from .model import Design, ProblemInstance, RiskDecomposition
 from .regularizers import (
     Regularizer,
     _as_regularizer,
+    _count_frequency,
     _is_one_hot_rows,
     check_topk_size,
     corollary3_regularizer,
-    onehot_frequency,
     sketch_regularizer,
     topk_empirical,
     topk_from_eigh,
@@ -321,6 +321,15 @@ def _conditional_sequential_onehot(c1, c2, n2, inst, gamma, weighting):
     return RiskDecomposition(bias=bias, variance=variance)
 
 
+def _conditional_joint_onehot(c1, c2, inst, weighting):
+    m = weight_vector(inst, weighting)
+    c = c1 + c2
+    pw = np.where(c == 0, inst.w_star, 0.0)
+    bias = float(m @ (pw * pw))
+    ainv = np.divide(1.0, c, out=np.zeros_like(c, dtype=float), where=c > 0)
+    return RiskDecomposition(bias=bias, variance=inst.sigma2 * float(m @ ainv))
+
+
 def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
                      weighting: RiskWeighting = RiskWeighting.JOINT,
                      opts: SolveOptions = DEFAULT_OPTIONS) -> RiskDecomposition:
@@ -364,13 +373,8 @@ def conditional_risk_joint(x1, x2, inst: ProblemInstance,
     designs are never modified.
     """
     x1, x2 = _check_designs(x1, x2, inst)
-    m = weight_vector(inst, weighting)
     if inst.design is Design.ONE_HOT:
-        c = x1.sum(axis=0) + x2.sum(axis=0)
-        pw = np.where(c == 0, inst.w_star, 0.0)
-        bias = float(m @ (pw * pw))
-        ainv = np.divide(1.0, c, out=np.zeros_like(c, dtype=float), where=c > 0)
-        return RiskDecomposition(bias=bias, variance=inst.sigma2 * float(m @ ainv))
+        return _conditional_joint_onehot(x1.sum(axis=0), x2.sum(axis=0), inst, weighting)
     if inst.d > NORMAL_PATH_MAX_D:
         return _conditional_joint_gram(x1, x2, inst, weighting, opts)
     return _joint_risk(NormalMatrices.of(x1, x2), inst, weighting, opts)
@@ -437,9 +441,10 @@ class GRCL(_Sequential):
     """Sequential learning with a memory matrix, fixed or built from X1.
 
     A builder is a callable ``(x1, seed) -> Regularizer`` or has a
-    ``memory(rep)`` that reads the replication, as ``TopK`` does.  It may
-    carry a ``label``, a ``check(inst, n)`` and a ``population(inst, n)``
-    analog for the one-hot theory, as ``TopK``, ``Sketch`` and ``Frequency`` do.
+    ``memory(rep)`` that reads the replication, as ``TopK`` and
+    ``Frequency`` do.  It may carry a ``label``, a ``check(inst, n)`` and
+    a ``population(inst, n)`` analog for the one-hot theory, as ``TopK``,
+    ``Sketch`` and ``Frequency`` do.
     """
 
     regularizer: Regularizer | None = None
@@ -534,8 +539,8 @@ class Frequency:
 
     label: ClassVar[str] = "freq"
 
-    def __call__(self, x1: np.ndarray, seed) -> Regularizer:
-        return onehot_frequency(x1)
+    def memory(self, rep) -> Regularizer:
+        return _count_frequency(rep.counts()[0], rep.n)
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         if inst.design is not Design.ONE_HOT:
@@ -559,7 +564,7 @@ SHARED_BYTES_MAX = 512 * 2**20
 
 
 class Designs:
-    """A drawn pair of designs, for Monte Carlo off the dense path and the oracle.
+    """A drawn pair of designs, for Monte Carlo above the dense limit and the oracle.
 
     ``memory_seed`` derives from the (seed, rep) stream only when read.
     Its risks are those of the public functions, which pick the path by
@@ -578,6 +583,10 @@ class Designs:
     def memory_seed(self) -> int:
         return sampler.stream_seed(self.seed, self.rep, sampler.REGULARIZER_STREAM)
 
+    def counts(self):
+        """Column sums of X1 and X2: each atom's count, for one-hot designs."""
+        return self.x1.sum(axis=0), self.x2.sum(axis=0)
+
     def topk(self, k: int) -> Regularizer:
         return topk_empirical(self.x1, k)
 
@@ -591,23 +600,34 @@ class Designs:
 class Replication:
     """One replication of a cell, drawn from its seed streams on use.
 
-    On the dense Gaussian path (d <= NORMAL_PATH_MAX_D) the designs are
-    drawn once and only their normal matrices are kept; ``x1`` draws X1
-    again for a builder that needs it, as the draws are pure functions
-    of the seed.
+    A dense Gaussian replication (d <= NORMAL_PATH_MAX_D) draws its
+    designs once and keeps only their normal matrices.  A one-hot
+    replication keeps only its count vectors (c1, c2), drawn without
+    the n x d designs; its normal matrices are exactly diag(c1) and
+    diag(c2), since a one-hot row adds 1 to one diagonal entry.  ``x1``
+    draws X1 again for a builder that needs its rows, as the draws are
+    pure functions of the seed.
     """
 
-    __slots__ = ("inst", "n", "seed", "rep", "_normal")
+    __slots__ = ("inst", "n", "seed", "rep", "_normal", "_counts")
 
     def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
         self.inst, self.n, self.seed, self.rep = inst, n, seed, rep
         self._normal = None
+        self._counts = None
 
     memory_seed = Designs.memory_seed
 
+    @property
+    def one_hot(self) -> bool:
+        return self.inst.design is Design.ONE_HOT
+
+    def _stream(self, tag: int) -> int:
+        return sampler.stream_seed(self.seed, self.rep, tag)
+
     def _draw(self, spectrum, tag: int) -> np.ndarray:
-        seed = sampler.stream_seed(self.seed, self.rep, tag)
-        if self.inst.design is Design.ONE_HOT:
+        seed = self._stream(tag)
+        if self.one_hot:
             return sampler.sample_one_hot_design(spectrum, self.n, seed)
         return sampler.sample_gaussian_design(spectrum, self.n, seed)
 
@@ -635,13 +655,27 @@ class Replication:
             x1, x2 = self.x1, self.x2
         return Designs(self.inst, x1, x2, self.seed, self.rep)
 
+    def counts(self):
+        """(c1, c2), the column sums of a one-hot X1 and X2."""
+        if self._counts is None:
+            draw = sampler.sample_one_hot_counts
+            self._counts = (
+                draw(self.inst.g, self.n, self._stream(sampler.TASK1_DESIGN)),
+                draw(self.inst.h, self.n, self._stream(sampler.TASK2_DESIGN)),
+            )
+        return self._counts
+
     def normal(self) -> NormalMatrices:
         if self._normal is None:
-            x1 = self.x1
-            a1 = x1.T @ x1
-            del x1
-            x2 = self.x2
-            self._normal = NormalMatrices(a1, x2.T @ x2, self.n, self.n)
+            if self.one_hot:
+                c1, c2 = self.counts()
+                self._normal = NormalMatrices(np.diag(c1), np.diag(c2), self.n, self.n)
+            else:
+                x1 = self.x1
+                a1 = x1.T @ x1
+                del x1
+                x2 = self.x2
+                self._normal = NormalMatrices(a1, x2.T @ x2, self.n, self.n)
         return self._normal
 
     def topk(self, k: int) -> Regularizer:
@@ -649,9 +683,14 @@ class Replication:
 
     def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
         reg = _as_regularizer(memory, self.inst.d)
+        if self.one_hot and (reg.is_zero or reg.is_diagonal):
+            gamma = reg.values if reg.is_diagonal else np.zeros(self.inst.d)
+            return _conditional_sequential_onehot(*self.counts(), self.n, self.inst, gamma, weighting)
         return _sequential_risk(self.normal(), self.inst, reg, weighting, DEFAULT_OPTIONS)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
+        if self.one_hot:
+            return _conditional_joint_onehot(*self.counts(), self.inst, weighting)
         return _joint_risk(self.normal(), self.inst, weighting, DEFAULT_OPTIONS)
 
 
@@ -664,7 +703,8 @@ class Replications:
     normal matrices serve every later row.  The first replications are
     kept, each made on first use, so that at most ``memory_bytes`` are
     held (4 d^2 floats per replication); the rest, and every replication
-    off the dense path, are drawn again for each row.
+    off the dense path, are drawn again for each row.  A replication
+    above the dense limit is read as its drawn ``Designs``.
     """
 
     def __init__(self, inst: ProblemInstance, n: int, reps: int, seed: int,
@@ -683,7 +723,7 @@ class Replications:
             replication = Replication(self.inst, self.n, self.seed, rep)
             if rep < self._capacity:
                 self._kept[rep] = replication
-        return replication if self.dense else replication.designs()
+        return replication.designs() if _wide(self.inst) else replication
 
 
 def worker_count() -> int:

@@ -31,21 +31,39 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_one_hot_design(s: Spectrum, n: int, seed) -> np.ndarray:
-    """Draw n i.i.d. rows, row = e_i with probability s_i.
+def _one_hot_indices(s: Spectrum, n: int, seed) -> np.ndarray:
+    """Atom index of each of n i.i.d. one-hot rows, by inverse CDF.
 
-    Sampling is inverse-CDF over the cumulative spectrum, so equal seeds
-    give bit-identical matrices.
+    A draw at or beyond the rounded total mass goes to the last atom
+    with positive mass, never to a trailing zero-mass atom.
     """
     if not s.one_hot:
         raise NotAProbabilitySpectrum("design spectrum must be one-hot")
     cdf = np.cumsum(s.values)
     u = _rng(seed).random(n)
     idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, s.d - 1)
+    return np.minimum(idx, np.flatnonzero(s.values)[-1])
+
+
+def sample_one_hot_design(s: Spectrum, n: int, seed) -> np.ndarray:
+    """Draw n i.i.d. rows, row = e_i with probability s_i.
+
+    Sampling is inverse-CDF over the cumulative spectrum, so equal seeds
+    give bit-identical matrices.
+    """
+    idx = _one_hot_indices(s, n, seed)
     x = np.zeros((n, s.d))
     x[np.arange(n), idx] = 1.0
     return x
+
+
+def sample_one_hot_counts(s: Spectrum, n: int, seed) -> np.ndarray:
+    """How often each atom occurs in ``sample_one_hot_design(s, n, seed)``.
+
+    The same draw, so the result equals that design's column sums
+    exactly, without the n x d matrix.
+    """
+    return np.bincount(_one_hot_indices(s, n, seed), minlength=s.d).astype(float)
 
 
 def sample_gaussian_design(s: Spectrum, n: int, seed) -> np.ndarray:

@@ -40,6 +40,17 @@ seed = 7
 output = {out}
 """
 
+ONE_HOT_SWEEP_N = """
+pk_k = 3
+pk_d = 8
+design = one_hot
+n_values = 4, 40
+algorithms = ocl, joint, l2rcl:0.1, grcl:topk:2, grcl:sketch:2, grcl:freq
+reps = 6
+seed = 7
+output = {out}
+"""
+
 
 class TestConfig:
     def test_defaults(self):
@@ -119,21 +130,10 @@ class TestSweeps:
         assert row["theory_bias"] == ""  # gaussian rows carry no one-hot theory
 
     def test_sweep_n_thread_invariance(self, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        cfg1 = load_config(write_config(tmp_path / "c1.cfg", SMALL_SWEEP.format(out=out1)))
-        cfg2 = load_config(write_config(tmp_path / "c2.cfg", SMALL_SWEEP.format(out=out2)))
-        run_sweep_n(cfg1)
-        old = os.environ.get("GRCL_THREADS")
-        os.environ["GRCL_THREADS"] = "3"
-        try:
-            run_sweep_n(cfg2)
-        finally:
-            if old is None:
-                del os.environ["GRCL_THREADS"]
-            else:
-                os.environ["GRCL_THREADS"] = old
-        assert out1.read_bytes() == out2.read_bytes()
+        assert_thread_invariant(tmp_path, SMALL_SWEEP, run_sweep_n)
+
+    def test_one_hot_sweep_n_thread_invariance(self, tmp_path):
+        assert_thread_invariant(tmp_path, ONE_HOT_SWEEP_N, run_sweep_n)
 
     def test_one_hot_sweep_fills_theory_columns(self, tmp_path):
         out = tmp_path / "oh.csv"
@@ -320,6 +320,17 @@ def run_with_threads(threads, fn, cfg):
             os.environ["GRCL_THREADS"] = old
 
 
+def assert_thread_invariant(tmp_path, text, fn):
+    """The sweep ``fn`` of the config ``text`` writes the same bytes with 1 and 3 workers."""
+    csvs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads-{threads}.csv"
+        cfg = load_config(write_config(tmp_path / f"c{threads}.cfg", text.format(out=out)))
+        run_with_threads(threads, fn, cfg)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 class TestSharedDraws:
     def test_sweep_k_rows_equal_standalone(self, tmp_path):
         out = tmp_path / "k.csv"
@@ -345,13 +356,7 @@ class TestSharedDraws:
         assert_rows_equal_standalone(out, cfg)
 
     def test_sweep_k_thread_invariance(self, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        cfg1 = load_config(write_config(tmp_path / "c1.cfg", SHARED_SWEEP_K.format(out=out1)))
-        cfg2 = load_config(write_config(tmp_path / "c2.cfg", SHARED_SWEEP_K.format(out=out2)))
-        run_with_threads("1", run_sweep_k, cfg1)
-        run_with_threads("3", run_sweep_k, cfg2)
-        assert out1.read_bytes() == out2.read_bytes()
+        assert_thread_invariant(tmp_path, SHARED_SWEEP_K, run_sweep_k)
 
 
 WIDE_SWEEP_N = """
@@ -375,23 +380,19 @@ class TestWidePath:
         run_sweep_n(cfg)
         assert_rows_equal_standalone(out, cfg)
 
-    def test_sweep_n_thread_invariance(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        cfg1 = load_config(write_config(tmp_path / "c1.cfg", WIDE_SWEEP_N.format(out=out1)))
-        cfg2 = load_config(write_config(tmp_path / "c2.cfg", WIDE_SWEEP_N.format(out=out2)))
-        monkeypatch.delenv("GRCL_THREADS", raising=False)
-        run_sweep_n(cfg1)
-        run_with_threads("3", run_sweep_n, cfg2)
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_sweep_n_thread_invariance(self, tmp_path):
+        assert_thread_invariant(tmp_path, WIDE_SWEEP_N, run_sweep_n)
 
 
-def instance_line(tmp_path, sigma2):
-    """An ``instance =`` config line for P(3) at d=8 with noise level ``sigma2``."""
+def instance_line(tmp_path, sigma2, repeat=""):
+    """An ``instance =`` config line for P(3) at d=8 with noise level ``sigma2``.
+
+    ``repeat`` is a line appended to the instance file, such as a key given twice.
+    """
     inst = make_problem_pk(3, 8, Design.GAUSSIAN)
     text = instance_to_text(inst).replace("sigma2=1.0", f"sigma2={sigma2}")
-    path = tmp_path / f"inst-{sigma2}.txt"
-    path.write_text(text)
+    path = tmp_path / f"inst-{sigma2}{'-repeat' if repeat else ''}.txt"
+    path.write_text(text + repeat)
     return f"instance = {path}"
 
 
@@ -411,6 +412,9 @@ BAD_CONFIGS = {
     "threads": ("sweep-k", "pk_k = 3\npk_d = 8\nn = 40\nk_values = 1\nalgorithms = grcl:topk:1"),
     "instance-and-design": ("sweep-n", "{ok}\ndesign = one_hot\nn_values = 40\nalgorithms = ocl"),
     "instance-and-pk": ("sweep-k", "{ok}\npk_d = 500\nn = 40\nk_values = 1\nalgorithms = grcl:topk:1"),
+    "duplicate-reps": ("sweep-n", "pk_k = 3\npk_d = 8\nn_values = 40\nreps = 50"),
+    "duplicate-algorithms": ("sweep-n", "pk_k = 3\npk_d = 8\nalgorithms = ocl\nalgorithms = joint"),
+    "instance-duplicate-key": ("sweep-n", "n_values = 40\nalgorithms = ocl\n{dup}"),
 }
 
 
@@ -425,6 +429,7 @@ class TestFailFast:
             nan=instance_line(tmp_path, "nan"),
             inf=instance_line(tmp_path, "inf"),
             ok=instance_line(tmp_path, "1.0"),
+            dup=instance_line(tmp_path, "1.0", repeat="sigma2=2.0"),
         )
         path = write_config(tmp_path / "c.cfg", f"{body}\nreps = 2\noutput = {out}\n")
         assert main([command, "--config", path]) == 2

@@ -234,6 +234,16 @@ class TestSerialization:
         with pytest.raises(DimensionMismatch):
             instance_from_text("d=3\nsigma2=1\ng=1\nh=1\nw_star=1\ndesign=gaussian")
 
+    @pytest.mark.parametrize("extra, problem", [
+        ("sigma2=2.0", "key 'sigma2' given twice"),
+        ("noise=2.0", "unknown key 'noise'"),
+        ("sigma2 2.0", "expected key=value"),
+    ])
+    def test_rejects_duplicate_unknown_and_malformed_lines(self, extra, problem):
+        text = instance_to_text(make_problem_pk(1, 2, Design.GAUSSIAN))
+        with pytest.raises(DimensionMismatch, match=f"line 7: {problem}"):
+            instance_from_text(text + extra + "\n")
+
 
 class TestProblemInstanceValidation:
     def test_length_mismatch(self):

@@ -14,7 +14,13 @@ from grclab.errors import ConfigParse, DimensionMismatch, GrclabError, KTooLarge
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
 from grclab.estimators import DEFAULT_OPTIONS, eigen_cutoff_ratio
-from grclab.regularizers import Regularizer, sketch_regularizer, topk_empirical, zero_regularizer
+from grclab.regularizers import (
+    Regularizer,
+    onehot_frequency,
+    sketch_regularizer,
+    topk_empirical,
+    zero_regularizer,
+)
 from grclab.risk import (
     GRCL,
     Designs,
@@ -569,6 +575,104 @@ class TestSharedReplications:
             monte_carlo_expected_excess(
                 make_problem_pk(3, 8, Design.GAUSSIAN), OCL(), 12, 3, 5, replications=shared
             )
+
+
+def zero_mass_instance():
+    """A one-hot instance whose spectra leave some atoms undrawn."""
+    return ProblemInstance(
+        w_star=np.array([1.0, -0.5, 0.25, 2.0, 0.75]), sigma2=0.7,
+        g=make_spectrum([0.5, 0.3, 0.2, 0.0, 0.0], one_hot=True),
+        h=make_spectrum([0.1, 0.0, 0.3, 0.6, 0.0], one_hot=True),
+        design=Design.ONE_HOT,
+    )
+
+
+def count_path_algorithms(d):
+    diagonal = Regularizer(form="diagonal", values=np.linspace(0.0, 0.8, d))
+    lowrank = Regularizer(form="lowrank", factor=np.linspace(0.1, 0.6, 2 * d).reshape(2, d))
+    return [
+        OCL(), L2RCL(0.3), GRCL(regularizer=diagonal), GRCL(builder=Frequency()), Joint(),
+        GRCL(regularizer=lowrank), GRCL(builder=TopK(2)), GRCL(builder=TopK(0)),
+    ]
+
+
+def design_reference(inst, algorithm, n, reps, seed, weighting):
+    """Monte Carlo from ``conditional_risk*`` on the dense one-hot draws of each stream seed."""
+    decomps = []
+    for rep in range(reps):
+        x1 = sample_one_hot_design(inst.g, n, sampler.stream_seed(seed, rep, sampler.TASK1_DESIGN))
+        x2 = sample_one_hot_design(inst.h, n, sampler.stream_seed(seed, rep, sampler.TASK2_DESIGN))
+        memory_seed = sampler.stream_seed(seed, rep, sampler.REGULARIZER_STREAM)
+        if isinstance(algorithm, Joint):
+            decomps.append(conditional_risk_joint(x1, x2, inst, weighting))
+            continue
+        if isinstance(algorithm, OCL):
+            sigma = None
+        elif isinstance(algorithm, L2RCL):
+            sigma = Regularizer(form="diagonal", values=np.full(inst.d, algorithm.gamma))
+        elif algorithm.regularizer is not None:
+            sigma = algorithm.regularizer
+        elif isinstance(algorithm.builder, TopK):
+            sigma = topk_empirical(x1, algorithm.builder.k)
+        elif isinstance(algorithm.builder, Frequency):
+            sigma = onehot_frequency(x1)
+        else:
+            sigma = algorithm.builder(x1, memory_seed)
+        decomps.append(conditional_risk(x1, x2, inst, sigma, weighting))
+    totals = [dec.total for dec in decomps]
+    mean = math.fsum(totals) / reps
+    std_error = math.sqrt(math.fsum((t - mean) ** 2 for t in totals) / (reps - 1)) / math.sqrt(reps)
+    return (mean, std_error,
+            math.fsum(dec.bias for dec in decomps) / reps,
+            math.fsum(dec.variance for dec in decomps) / reps)
+
+
+class TestOneHotCounts:
+    """One-hot Monte Carlo replications read as their count vectors."""
+
+    @pytest.mark.parametrize("inst", [make_problem_pk(3, 6, Design.ONE_HOT), zero_mass_instance()])
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_estimates_equal_the_design_reference(self, inst, n):
+        algorithms = count_path_algorithms(inst.d) + [
+            GRCL(builder=Sketch(2)),
+            GRCL(builder=lambda x1, seed: sketch_regularizer(x1[::-1], 3, seed + 1)),
+        ]
+        reps, seed = 5, 13
+        for weighting in RiskWeighting:
+            for algorithm in algorithms:
+                if isinstance(getattr(algorithm, "builder", None), TopK) and algorithm.builder.k > n:
+                    continue
+                want = design_reference(inst, algorithm, n, reps, seed, weighting)
+                shared = Replications(inst, n, reps, seed)
+                for replications in (None, shared):
+                    est, dec = monte_carlo_expected_excess(
+                        inst, algorithm, n, reps, seed, weighting, replications=replications
+                    )
+                    assert (est.mean, est.std_error, dec.bias, dec.variance) == want
+
+    def test_count_path_neither_draws_nor_scans_designs(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a dense one-hot design was drawn or scanned")
+
+        monkeypatch.setattr(sampler, "sample_one_hot_design", forbidden)
+        monkeypatch.setattr("grclab.risk._is_one_hot_rows", forbidden)
+        inst = zero_mass_instance()
+        for algorithm in count_path_algorithms(inst.d):
+            for replications in (None, Replications(inst, 9, 3, seed=2)):
+                monte_carlo_expected_excess(inst, algorithm, 9, 3, 2, replications=replications)
+
+    def test_replications_are_count_pairs(self):
+        inst = zero_mass_instance()
+        replication = Replications(inst, 12, 3, seed=4)[1]
+        assert isinstance(replication, Replication)
+        c1, c2 = replication.counts()
+        seeds = [sampler.stream_seed(4, 1, tag) for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN)]
+        assert c1.tobytes() == sample_one_hot_design(inst.g, 12, seeds[0]).sum(axis=0).tobytes()
+        assert c2.tobytes() == sample_one_hot_design(inst.h, 12, seeds[1]).sum(axis=0).tobytes()
+        normal = replication.normal()
+        assert normal.a1.tobytes() == np.diag(c1).tobytes()
+        assert normal.a2.tobytes() == np.diag(c2).tobytes()
+        assert replication.x1.sum(axis=0).tobytes() == c1.tobytes()
 
 
 def wide_instance(d=4100):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grclab import sampler
 
 from grclab.errors import DimensionMismatch, NotAProbabilitySpectrum
 from grclab.model import make_spectrum
@@ -10,6 +14,7 @@ from grclab.sampler import (
     TASK2_NOISE,
     sample_gaussian_design,
     sample_labels,
+    sample_one_hot_counts,
     sample_one_hot_design,
     stream_seed,
 )
@@ -45,6 +50,42 @@ class TestOneHotDesign:
     def test_rejects_non_probability_spectrum(self):
         with pytest.raises(NotAProbabilitySpectrum):
             sample_one_hot_design(make_spectrum([0.5, 0.2]), 10, seed=0)
+        with pytest.raises(NotAProbabilitySpectrum):
+            sample_one_hot_counts(make_spectrum([0.5, 0.2]), 10, seed=0)
+
+    def test_top_of_the_unit_interval_avoids_zero_mass_atoms(self, monkeypatch):
+        # ten 0.1 entries sum to 1 - 2**-53 in float, below the top draw
+        s = make_spectrum([0.1] * 10 + [0.0], one_hot=True)
+        assert np.cumsum(s.values)[-1] == 1 - 2**-53
+
+        class TopDraw:
+            def random(self, n):
+                return np.full(n, 1 - 2**-53)
+
+        monkeypatch.setattr(sampler, "_rng", lambda seed: TopDraw())
+        x = sample_one_hot_design(s, 3, seed=0)
+        np.testing.assert_array_equal(np.flatnonzero(x.sum(axis=0)), [9])
+        np.testing.assert_array_equal(sample_one_hot_counts(s, 3, seed=0), [0.0] * 9 + [3.0, 0.0])
+
+
+@st.composite
+def one_hot_spectra(draw):
+    """Probability vectors with some zero entries, the last one included at times."""
+    raw = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.1, 0.3, 1.0, 7.0]), min_size=1, max_size=9))
+    values = np.array(raw)
+    if not values.any():
+        values[draw(st.integers(0, len(raw) - 1))] = 1.0
+    return make_spectrum(values / values.sum(), one_hot=True)
+
+
+class TestOneHotCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(s=one_hot_spectra(), n=st.integers(0, 300), seed=st.integers(0, 2**63))
+    def test_counts_are_the_design_column_sums(self, s, n, seed):
+        counts = sample_one_hot_counts(s, n, seed)
+        assert counts.dtype == np.float64 and counts.shape == (s.d,)
+        assert counts.tobytes() == sample_one_hot_design(s, n, seed).sum(axis=0).tobytes()
+        assert not counts[s.values == 0].any()
 
 
 class TestGaussianDesign:
