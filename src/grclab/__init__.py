@@ -1,7 +1,7 @@
 """Two-task continual-learning linear regression laboratory."""
 
 from .errors import GrclabError
-from .estimators import SolveOptions, Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
+from .estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from .model import (
     Design,
     ProblemInstance,

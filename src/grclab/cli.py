@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -236,16 +237,19 @@ def _sweep_row(algorithm, shared: Replications, column: str) -> str:
     return ",".join(cells)
 
 
-def _check_cells(inst: ProblemInstance, cells) -> None:
-    """Reject a sweep any (algorithm, n) cell of which cannot run.
+def _check_cells(config: ExperimentConfig, cells) -> None:
+    """Reject a sweep with no output directory or with an (algorithm, n) cell that cannot run.
 
     Runs before the first draw, so a bad config costs no compute and
     leaves no partial CSV.
     """
     worker_count()
+    directory = os.path.dirname(config.output_path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigParse(f"output directory {directory!r} does not exist")
     for algorithm, n in cells:
         try:
-            check_algorithm(algorithm, inst, n)
+            check_algorithm(algorithm, config.instance, n)
         except GrclabError as exc:
             raise ConfigParse(f"{algorithm.label} at n={n}: {exc}") from exc
 
@@ -258,7 +262,7 @@ def run_sweep_n(config: ExperimentConfig) -> str:
     """
     if not config.n_values:
         raise ConfigParse("sweep-n needs a nonempty n_values list")
-    _check_cells(config.instance, [(a, n) for a in config.algorithms for n in config.n_values])
+    _check_cells(config, [(a, n) for a in config.algorithms for n in config.n_values])
     rows = {}
     for j, n in enumerate(config.n_values):
         shared = Replications(config.instance, n, config.reps, config.seed)
@@ -287,7 +291,7 @@ def run_sweep_k(config: ExperimentConfig) -> str:
     except GrclabError as exc:
         raise ConfigParse(f"sweep-k: {exc}") from exc
     algorithms += [OCL(), Joint()]
-    _check_cells(config.instance, [(a, config.n) for a in algorithms])
+    _check_cells(config, [(a, config.n) for a in algorithms])
     shared = Replications(config.instance, config.n, config.reps, config.seed)
     lines = [CSV_HEADER] + [_sweep_row(a, shared, a.name) for a in algorithms]
     _write_lines(config.output_path, lines)

@@ -46,28 +46,9 @@ class Weights:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Numerical options for the pseudoinverse solves.
-
-    ``rank_tolerance`` is a relative singular-value cutoff; ``None`` means
-    the standard choice 1e-10 * max(n, d), resolved per problem.
-    """
-
-    rank_tolerance: float | None = None
-
-    def __post_init__(self):
-        rt = self.rank_tolerance
-        if rt is not None and not (0.0 < rt < 1.0):
-            raise DimensionMismatch(f"rank_tolerance must be in (0, 1), got {rt}")
-
-    def resolve(self, n: int, d: int) -> float:
-        if self.rank_tolerance is not None:
-            return self.rank_tolerance
-        return 1e-10 * max(n, d)
-
-
-DEFAULT_OPTIONS = SolveOptions()
+def _rank_tolerance(n: int, d: int) -> float:
+    """Relative singular-value cutoff of an n x d problem, 1e-10 * max(n, d)."""
+    return 1e-10 * max(n, d)
 
 
 def _check_xy(x, y):
@@ -99,14 +80,14 @@ def _minnorm_lstsq(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     return _minnorm_factor(x, y, tol)
 
 
-def fit_min_norm(x, y, opts: SolveOptions = DEFAULT_OPTIONS) -> Weights:
+def fit_min_norm(x, y) -> Weights:
     """Minimum-l2-norm least-squares solution (interpolator when feasible)."""
     x, y = _check_xy(x, y)
-    tol = opts.resolve(*x.shape)
+    tol = _rank_tolerance(*x.shape)
     return Weights(_minnorm_lstsq(x, y, tol))
 
 
-def fit_ocl(x2, y2, w1: Weights, opts: SolveOptions = DEFAULT_OPTIONS) -> Weights:
+def fit_ocl(x2, y2, w1: Weights) -> Weights:
     """Second-phase update that stays as close to w1 as the new data allows.
 
     Returns w1 + v where v is the min-norm least-squares solution of
@@ -116,12 +97,12 @@ def fit_ocl(x2, y2, w1: Weights, opts: SolveOptions = DEFAULT_OPTIONS) -> Weight
     x2, y2 = _check_xy(x2, y2)
     if w1.d != x2.shape[1]:
         raise DimensionMismatch(f"w1 has d={w1.d}, X2 has d={x2.shape[1]}")
-    tol = opts.resolve(*x2.shape)
+    tol = _rank_tolerance(*x2.shape)
     v = _minnorm_lstsq(x2, y2 - x2 @ w1.w, tol)
     return Weights(w1.w + v)
 
 
-def fit_grcl(x2, y2, w1: Weights, sigma, opts: SolveOptions = DEFAULT_OPTIONS) -> Weights:
+def fit_grcl(x2, y2, w1: Weights, sigma) -> Weights:
     """Quadratically regularized second-phase fit with memory matrix Sigma.
 
     Minimizes (1/n)||y2 - X2 w||^2 + ||w - w1||_Sigma^2.  When the
@@ -146,8 +127,8 @@ def fit_grcl(x2, y2, w1: Weights, sigma, opts: SolveOptions = DEFAULT_OPTIONS) -
         raise DimensionMismatch(f"w1 has d={w1.d}, X2 has d={d}")
     sigma = _as_regularizer(sigma, d)
     if sigma.is_zero:
-        return fit_ocl(x2, y2, w1, opts)
-    tol = opts.resolve(n, d)
+        return fit_ocl(x2, y2, w1)
+    tol = _rank_tolerance(n, d)
     w_rows = sigma.sqrt_factor()
     stacked = np.vstack([x2, np.sqrt(n) * w_rows])
     rhs = np.concatenate([y2 - x2 @ w1.w, np.zeros(w_rows.shape[0])])
@@ -155,7 +136,7 @@ def fit_grcl(x2, y2, w1: Weights, sigma, opts: SolveOptions = DEFAULT_OPTIONS) -
     return Weights(w1.w + v)
 
 
-def fit_joint(x1, y1, x2, y2, opts: SolveOptions = DEFAULT_OPTIONS) -> Weights:
+def fit_joint(x1, y1, x2, y2) -> Weights:
     """Min-norm least squares on the vertically stacked two-task data."""
     x1, y1 = _check_xy(x1, y1)
     x2, y2 = _check_xy(x2, y2)
@@ -163,5 +144,5 @@ def fit_joint(x1, y1, x2, y2, opts: SolveOptions = DEFAULT_OPTIONS) -> Weights:
         raise DimensionMismatch(f"d mismatch: {x1.shape[1]} vs {x2.shape[1]}")
     x = np.vstack([x1, x2])
     y = np.concatenate([y1, y2])
-    tol = opts.resolve(*x.shape)
+    tol = _rank_tolerance(*x.shape)
     return Weights(_minnorm_lstsq(x, y, tol))

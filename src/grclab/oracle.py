@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, GrclabError, InvalidProbability
 from .model import Design, ProblemInstance, RiskDecomposition
-from .risk import Designs, RiskWeighting, check_algorithm
+from .risk import Replication, RiskWeighting, check_algorithm
 
 MAX_STATES_CAP = 10**7
 
@@ -116,10 +116,6 @@ def _multinomial_states(n: int, probs: np.ndarray):
     return states
 
 
-def _design_from_counts(counts: np.ndarray) -> np.ndarray:
-    return np.repeat(np.eye(counts.shape[0]), counts.astype(int), axis=0)
-
-
 def exact_one_hot_expected_excess(
     inst: ProblemInstance,
     n: int,
@@ -129,11 +125,12 @@ def exact_one_hot_expected_excess(
 ) -> RiskDecomposition:
     """Exact design-expectation of the conditional excess risk.
 
-    Every pair of one-hot datasets is visited through its count vector
-    with the exact multinomial probability; the label noise is already
-    integrated analytically by :func:`grclab.risk.conditional_risk`.
-    Only count-determined algorithms are meaningful here (all four
-    standard ones are); a builder that draws gets the memory seed of
+    Every pair of one-hot datasets is visited through its count vectors
+    with the exact multinomial probability, read as a count
+    :class:`grclab.risk.Replication`, whose risk integrates the label
+    noise analytically.  Only count-determined algorithms are meaningful
+    here (all four standard ones are); a builder that reads rows gets
+    them in atom order, and one that draws gets the memory seed of
     stream (seed 0, replication 0) for every pair.
     """
     if inst.design is not Design.ONE_HOT:
@@ -145,12 +142,10 @@ def exact_one_hot_expected_excess(
     if n_pairs > budget.max_states:
         raise BudgetExceeded(f"{n_pairs} dataset pairs exceed budget {budget.max_states}")
 
-    designs2 = [(_design_from_counts(c2), p2) for c2, p2 in states2]
     bias_terms, var_terms, prob_terms = [], [], []
     for c1, p1 in states1:
-        x1 = _design_from_counts(c1)
-        for x2, p2 in designs2:
-            dec = algorithm.risk(Designs(inst, x1, x2, seed=0, rep=0), weighting)
+        for c2, p2 in states2:
+            dec = algorithm.risk(Replication.of_counts(inst, c1, c2), weighting)
             p = p1 * p2
             prob_terms.append(p)
             bias_terms.append(p * dec.bias)

@@ -21,13 +21,7 @@ import numpy as np
 
 from . import sampler
 from .errors import ConfigParse, DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
-from .estimators import (
-    DEFAULT_OPTIONS,
-    NORMAL_PATH_MAX_D,
-    SolveOptions,
-    Weights,
-    eigen_cutoff_ratio,
-)
+from .estimators import NORMAL_PATH_MAX_D, Weights, _rank_tolerance, eigen_cutoff_ratio
 from .model import Design, ProblemInstance, RiskDecomposition
 from .regularizers import (
     Regularizer,
@@ -37,7 +31,6 @@ from .regularizers import (
     check_topk_size,
     corollary3_regularizer,
     sketch_regularizer,
-    topk_empirical,
     topk_from_eigh,
     topk_spectrum_regularizer,
     zero_regularizer,
@@ -152,10 +145,10 @@ class NormalMatrices:
         return topk_from_eigh(*self._eig_cov1, k)
 
 
-def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting, opts):
+def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting):
     d = inst.d
     n_big = max(normal.n1, normal.n2)
-    cutoff = eigen_cutoff_ratio(opts.resolve(n_big, d), n_big, d)
+    cutoff = eigen_cutoff_ratio(_rank_tolerance(n_big, d), n_big, d)
     m = weight_vector(inst, weighting)
 
     eigvals1, v1 = normal.eigh_a1()
@@ -184,10 +177,10 @@ def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting, 
     return RiskDecomposition(bias=bias, variance=variance)
 
 
-def _joint_risk(normal: NormalMatrices, inst, weighting, opts):
+def _joint_risk(normal: NormalMatrices, inst, weighting):
     d = inst.d
     n = normal.n1 + normal.n2
-    cutoff = eigen_cutoff_ratio(opts.resolve(n, d), n, d)
+    cutoff = eigen_cutoff_ratio(_rank_tolerance(n, d), n, d)
     m = weight_vector(inst, weighting)
     _, v, inv, keep = _pinv_parts(normal.a1 + normal.a2, cutoff)
     v_null = v[:, ~keep]
@@ -244,7 +237,7 @@ def _scaled_grams(x1: np.ndarray, x2: np.ndarray, m: np.ndarray):
     return grams
 
 
-def _conditional_sequential_gram(x1, x2, inst, weighting, opts):
+def _conditional_sequential_gram(x1, x2, inst, weighting):
     """Unregularized conditional risk from the Gram blocks.
 
     P2 = I - X2^T (X2 X2^T)^+ X2 propagates the first-phase error, so the
@@ -253,7 +246,7 @@ def _conditional_sequential_gram(x1, x2, inst, weighting, opts):
     n1, d = x1.shape
     n2 = x2.shape[0]
     n_big = max(n1, n2)
-    cutoff = eigen_cutoff_ratio(opts.resolve(n_big, d), n_big, d)
+    cutoff = eigen_cutoff_ratio(_rank_tolerance(n_big, d), n_big, d)
     m = weight_vector(inst, weighting)
 
     a1_plus = _pinv_sym(x1 @ x1.T, cutoff)
@@ -281,7 +274,7 @@ def _conditional_sequential_gram(x1, x2, inst, weighting, opts):
     return RiskDecomposition(bias=bias, variance=max(variance, 0.0))
 
 
-def _conditional_joint_gram(x1, x2, inst, weighting, opts):
+def _conditional_joint_gram(x1, x2, inst, weighting):
     """Stacked min-norm risk from the Gram blocks.
 
     bias = ||w* - Z^T K^+ Z w*||_M^2 and variance = sigma2 tr(K^+ W K^+),
@@ -289,7 +282,7 @@ def _conditional_joint_gram(x1, x2, inst, weighting, opts):
     """
     n1, d = x1.shape
     n = n1 + x2.shape[0]
-    cutoff = eigen_cutoff_ratio(opts.resolve(n, d), n, d)
+    cutoff = eigen_cutoff_ratio(_rank_tolerance(n, d), n, d)
     m = weight_vector(inst, weighting)
 
     k12 = x1 @ x2.T
@@ -330,15 +323,158 @@ def _conditional_joint_onehot(c1, c2, inst, weighting):
     return RiskDecomposition(bias=bias, variance=inst.sigma2 * float(m @ ainv))
 
 
+# -- one pair of designs, and the one choice among the three paths ------------------
+
+
+def _rows_of_counts(counts: np.ndarray) -> np.ndarray:
+    """The one-hot design with ``counts[i]`` rows e_i, in atom order."""
+    return np.repeat(np.eye(counts.shape[0]), counts.astype(int), axis=0)
+
+
+class Replication:
+    """One pair of designs as the risk paths read it.
+
+    Its sufficient statistics are caches, each filled on first use: the
+    designs (X1, X2), the count pair (c1, c2) of a one-hot pair, and the
+    ``NormalMatrices``.  A Monte Carlo replication fills them from its
+    (seed, rep) streams.  A dense Gaussian one keeps only its normal
+    matrices.  A one-hot one keeps only its counts, drawn without the
+    n x d designs; its normal matrices are exactly diag(c1) and diag(c2),
+    since a one-hot row adds 1 to one diagonal entry.  A replication of
+    caller-held designs or counts (``of_designs``, ``of_counts``) starts
+    with that cache filled, and has the memory seed of (seed 0, rep 0).
+
+    ``x1`` serves a builder that reads rows: a held X1, else X1 drawn
+    again from its seed, else the rows of c1.  ``sequential_risk`` and
+    ``joint_risk`` choose the path by the declared design: the counts for
+    one-hot, the n x n Gram path for Gaussian above ``NORMAL_PATH_MAX_D``,
+    the normal matrices otherwise.  Not safe for concurrent use.
+    """
+
+    __slots__ = ("inst", "n", "n2", "seed", "rep", "_drawn", "_designs", "_counts", "_normal")
+
+    def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
+        self.inst, self.n, self.n2, self.seed, self.rep = inst, n, n, seed, rep
+        self._drawn = True
+        self._designs = self._counts = self._normal = None
+
+    @classmethod
+    def of_designs(cls, inst: ProblemInstance, x1: np.ndarray, x2: np.ndarray) -> "Replication":
+        given = cls(inst, x1.shape[0], 0, 0)
+        given.n2, given._drawn, given._designs = x2.shape[0], False, (x1, x2)
+        return given
+
+    @classmethod
+    def of_counts(cls, inst: ProblemInstance, c1: np.ndarray, c2: np.ndarray) -> "Replication":
+        given = cls(inst, int(c1.sum()), 0, 0)
+        given.n2, given._drawn, given._counts = int(c2.sum()), False, (c1, c2)
+        return given
+
+    @property
+    def memory_seed(self) -> int:
+        return self._stream(sampler.REGULARIZER_STREAM)
+
+    @property
+    def one_hot(self) -> bool:
+        return self.inst.design is Design.ONE_HOT
+
+    def _stream(self, tag: int) -> int:
+        return sampler.stream_seed(self.seed, self.rep, tag)
+
+    def _draw(self, task: int) -> np.ndarray:
+        """X1 (task 0) or X2 (task 1) drawn from its stream."""
+        spectrum = self.inst.h if task else self.inst.g
+        seed = self._stream(sampler.TASK2_DESIGN if task else sampler.TASK1_DESIGN)
+        draw = sampler.sample_one_hot_design if self.one_hot else sampler.sample_gaussian_design
+        return draw(spectrum, self.n, seed)
+
+    def _design(self, task: int) -> np.ndarray:
+        if self._designs is not None:
+            return self._designs[task]
+        if self._drawn:
+            return self._draw(task)
+        return _rows_of_counts(self._counts[task])
+
+    @property
+    def x1(self) -> np.ndarray:
+        return self._design(0)
+
+    @property
+    def x2(self) -> np.ndarray:
+        return self._design(1)
+
+    def designs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X1, X2), kept once made; of a drawn pair, only the Gram path asks.
+
+        A wide Gaussian replication (d > NORMAL_PATH_MAX_D) draws X2 on a
+        helper thread while this one draws X1: ``standard_normal`` releases
+        the GIL, and each draw is a pure function of its own stream seed.
+        """
+        if self._designs is None:
+            if _wide(self.inst):
+                with ThreadPoolExecutor(max_workers=1) as helper:
+                    x2 = helper.submit(self._draw, 1)
+                    self._designs = (self._draw(0), x2.result())
+            else:
+                self._designs = (self.x1, self.x2)
+        return self._designs
+
+    def counts(self):
+        """(c1, c2), the column sums of a one-hot X1 and X2."""
+        if self._counts is None:
+            if self._designs is not None:
+                self._counts = tuple(x.sum(axis=0) for x in self._designs)
+            else:
+                draw = sampler.sample_one_hot_counts
+                self._counts = (
+                    draw(self.inst.g, self.n, self._stream(sampler.TASK1_DESIGN)),
+                    draw(self.inst.h, self.n, self._stream(sampler.TASK2_DESIGN)),
+                )
+        return self._counts
+
+    def normal(self) -> NormalMatrices:
+        if self._normal is None:
+            if self._designs is not None:
+                self._normal = NormalMatrices.of(*self._designs)
+            elif self.one_hot:
+                c1, c2 = self.counts()
+                self._normal = NormalMatrices(np.diag(c1), np.diag(c2), self.n, self.n2)
+            else:
+                x1 = self.x1
+                a1 = x1.T @ x1
+                del x1
+                x2 = self.x2
+                self._normal = NormalMatrices(a1, x2.T @ x2, self.n, self.n2)
+        return self._normal
+
+    def topk(self, k: int) -> Regularizer:
+        return self.normal().topk(k)
+
+    def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
+        reg = _as_regularizer(memory, self.inst.d)
+        if self.one_hot and (reg.is_zero or reg.is_diagonal):
+            gamma = reg.values if reg.is_diagonal else np.zeros(self.inst.d)
+            return _conditional_sequential_onehot(*self.counts(), self.n2, self.inst, gamma, weighting)
+        if _wide(self.inst) and reg.is_zero:
+            return _conditional_sequential_gram(*self.designs(), self.inst, weighting)
+        return _sequential_risk(self.normal(), self.inst, reg, weighting)
+
+    def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
+        if self.one_hot:
+            return _conditional_joint_onehot(*self.counts(), self.inst, weighting)
+        if _wide(self.inst):
+            return _conditional_joint_gram(*self.designs(), self.inst, weighting)
+        return _joint_risk(self.normal(), self.inst, weighting)
+
+
 def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
-                     weighting: RiskWeighting = RiskWeighting.JOINT,
-                     opts: SolveOptions = DEFAULT_OPTIONS) -> RiskDecomposition:
+                     weighting: RiskWeighting = RiskWeighting.JOINT) -> RiskDecomposition:
     """Noise-expected excess risk of the sequential fit, for fixed designs.
 
     Covers the whole Sigma family: Sigma = 0 is the unregularized update
     (the propagation map degenerates to the task-2 null-space projection),
     Sigma = gamma I the l2-penalized one, general PSD Sigma the structural
-    one.  The path follows the instance's declared design: one-hot
+    one.  The path is that of ``Replication.sequential_risk``: one-hot
     instances with diagonal Sigma take an exact O(d) coordinate path (the
     dense path agrees with it to rounding), and Sigma = 0 above
     ``NORMAL_PATH_MAX_D`` takes the n x n Gram path.  The designs are
@@ -350,22 +486,11 @@ def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
         PSD penalty; None means zero.
     """
     x1, x2 = _check_designs(x1, x2, inst)
-    reg = _as_regularizer(sigma, inst.d)
-    n2 = x2.shape[0]
-    diagonal_like = reg.is_zero or reg.is_diagonal
-    if diagonal_like and inst.design is Design.ONE_HOT:
-        gamma = reg.values if reg.is_diagonal else np.zeros(inst.d)
-        return _conditional_sequential_onehot(
-            x1.sum(axis=0), x2.sum(axis=0), n2, inst, gamma, weighting
-        )
-    if reg.is_zero and inst.d > NORMAL_PATH_MAX_D:
-        return _conditional_sequential_gram(x1, x2, inst, weighting, opts)
-    return _sequential_risk(NormalMatrices.of(x1, x2), inst, reg, weighting, opts)
+    return Replication.of_designs(inst, x1, x2).sequential_risk(sigma, weighting)
 
 
 def conditional_risk_joint(x1, x2, inst: ProblemInstance,
-                           weighting: RiskWeighting = RiskWeighting.JOINT,
-                           opts: SolveOptions = DEFAULT_OPTIONS) -> RiskDecomposition:
+                           weighting: RiskWeighting = RiskWeighting.JOINT) -> RiskDecomposition:
     """Noise-expected excess risk of the stacked min-norm fit, fixed designs.
 
     One-hot instances take an exact O(d) coordinate path, and Gaussian
@@ -373,11 +498,7 @@ def conditional_risk_joint(x1, x2, inst: ProblemInstance,
     designs are never modified.
     """
     x1, x2 = _check_designs(x1, x2, inst)
-    if inst.design is Design.ONE_HOT:
-        return _conditional_joint_onehot(x1.sum(axis=0), x2.sum(axis=0), inst, weighting)
-    if inst.d > NORMAL_PATH_MAX_D:
-        return _conditional_joint_gram(x1, x2, inst, weighting, opts)
-    return _joint_risk(NormalMatrices.of(x1, x2), inst, weighting, opts)
+    return Replication.of_designs(inst, x1, x2).joint_risk(weighting)
 
 
 # -- algorithms ---------------------------------------------------------------
@@ -563,137 +684,6 @@ def check_algorithm(algorithm, inst: ProblemInstance, n: int) -> None:
 SHARED_BYTES_MAX = 512 * 2**20
 
 
-class Designs:
-    """A drawn pair of designs, for Monte Carlo above the dense limit and the oracle.
-
-    ``memory_seed`` derives from the (seed, rep) stream only when read.
-    Its risks are those of the public functions, which pick the path by
-    the declared design: a Gaussian pair above ``NORMAL_PATH_MAX_D``
-    takes the Gram path without scanning the arrays.
-    """
-
-    __slots__ = ("inst", "x1", "x2", "n", "seed", "rep")
-
-    def __init__(self, inst: ProblemInstance, x1: np.ndarray, x2: np.ndarray,
-                 seed: int, rep: int):
-        self.inst, self.x1, self.x2, self.seed, self.rep = inst, x1, x2, seed, rep
-        self.n = x1.shape[0]
-
-    @property
-    def memory_seed(self) -> int:
-        return sampler.stream_seed(self.seed, self.rep, sampler.REGULARIZER_STREAM)
-
-    def counts(self):
-        """Column sums of X1 and X2: each atom's count, for one-hot designs."""
-        return self.x1.sum(axis=0), self.x2.sum(axis=0)
-
-    def topk(self, k: int) -> Regularizer:
-        return topk_empirical(self.x1, k)
-
-    def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
-        return conditional_risk(self.x1, self.x2, self.inst, memory, weighting)
-
-    def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
-        return conditional_risk_joint(self.x1, self.x2, self.inst, weighting)
-
-
-class Replication:
-    """One replication of a cell, drawn from its seed streams on use.
-
-    A dense Gaussian replication (d <= NORMAL_PATH_MAX_D) draws its
-    designs once and keeps only their normal matrices.  A one-hot
-    replication keeps only its count vectors (c1, c2), drawn without
-    the n x d designs; its normal matrices are exactly diag(c1) and
-    diag(c2), since a one-hot row adds 1 to one diagonal entry.  ``x1``
-    draws X1 again for a builder that needs its rows, as the draws are
-    pure functions of the seed.
-    """
-
-    __slots__ = ("inst", "n", "seed", "rep", "_normal", "_counts")
-
-    def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
-        self.inst, self.n, self.seed, self.rep = inst, n, seed, rep
-        self._normal = None
-        self._counts = None
-
-    memory_seed = Designs.memory_seed
-
-    @property
-    def one_hot(self) -> bool:
-        return self.inst.design is Design.ONE_HOT
-
-    def _stream(self, tag: int) -> int:
-        return sampler.stream_seed(self.seed, self.rep, tag)
-
-    def _draw(self, spectrum, tag: int) -> np.ndarray:
-        seed = self._stream(tag)
-        if self.one_hot:
-            return sampler.sample_one_hot_design(spectrum, self.n, seed)
-        return sampler.sample_gaussian_design(spectrum, self.n, seed)
-
-    @property
-    def x1(self) -> np.ndarray:
-        return self._draw(self.inst.g, sampler.TASK1_DESIGN)
-
-    @property
-    def x2(self) -> np.ndarray:
-        return self._draw(self.inst.h, sampler.TASK2_DESIGN)
-
-    def designs(self) -> Designs:
-        """Both designs.
-
-        A wide Gaussian replication (d > NORMAL_PATH_MAX_D) draws X2 on a
-        helper thread while this one draws X1: ``standard_normal`` releases
-        the GIL, and each draw is a pure function of its own stream seed.
-        """
-        if _wide(self.inst):
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                x2 = helper.submit(self._draw, self.inst.h, sampler.TASK2_DESIGN)
-                x1 = self.x1
-                x2 = x2.result()
-        else:
-            x1, x2 = self.x1, self.x2
-        return Designs(self.inst, x1, x2, self.seed, self.rep)
-
-    def counts(self):
-        """(c1, c2), the column sums of a one-hot X1 and X2."""
-        if self._counts is None:
-            draw = sampler.sample_one_hot_counts
-            self._counts = (
-                draw(self.inst.g, self.n, self._stream(sampler.TASK1_DESIGN)),
-                draw(self.inst.h, self.n, self._stream(sampler.TASK2_DESIGN)),
-            )
-        return self._counts
-
-    def normal(self) -> NormalMatrices:
-        if self._normal is None:
-            if self.one_hot:
-                c1, c2 = self.counts()
-                self._normal = NormalMatrices(np.diag(c1), np.diag(c2), self.n, self.n)
-            else:
-                x1 = self.x1
-                a1 = x1.T @ x1
-                del x1
-                x2 = self.x2
-                self._normal = NormalMatrices(a1, x2.T @ x2, self.n, self.n)
-        return self._normal
-
-    def topk(self, k: int) -> Regularizer:
-        return self.normal().topk(k)
-
-    def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
-        reg = _as_regularizer(memory, self.inst.d)
-        if self.one_hot and (reg.is_zero or reg.is_diagonal):
-            gamma = reg.values if reg.is_diagonal else np.zeros(self.inst.d)
-            return _conditional_sequential_onehot(*self.counts(), self.n, self.inst, gamma, weighting)
-        return _sequential_risk(self.normal(), self.inst, reg, weighting, DEFAULT_OPTIONS)
-
-    def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
-        if self.one_hot:
-            return _conditional_joint_onehot(*self.counts(), self.inst, weighting)
-        return _joint_risk(self.normal(), self.inst, weighting, DEFAULT_OPTIONS)
-
-
 class Replications:
     """The ``reps`` replications of one (instance, n, reps, seed) cell.
 
@@ -703,8 +693,7 @@ class Replications:
     normal matrices serve every later row.  The first replications are
     kept, each made on first use, so that at most ``memory_bytes`` are
     held (4 d^2 floats per replication); the rest, and every replication
-    off the dense path, are drawn again for each row.  A replication
-    above the dense limit is read as its drawn ``Designs``.
+    off the dense path, are drawn again for each row.
     """
 
     def __init__(self, inst: ProblemInstance, n: int, reps: int, seed: int,
@@ -712,18 +701,18 @@ class Replications:
         if seed < 0:
             raise DimensionMismatch(f"need seed >= 0, got {seed}")
         self.inst, self.n, self.reps, self.seed = inst, n, reps, seed
-        self.dense = inst.design is Design.GAUSSIAN and inst.d <= NORMAL_PATH_MAX_D
-        self._capacity = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d)) if self.dense else 0
+        dense = inst.design is Design.GAUSSIAN and inst.d <= NORMAL_PATH_MAX_D
+        self._capacity = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d)) if dense else 0
         self._kept: dict[int, Replication] = {}
 
-    def __getitem__(self, rep: int) -> Replication | Designs:
+    def __getitem__(self, rep: int) -> Replication:
         """Replication ``rep`` as the algorithms read it."""
         replication = self._kept.get(rep)
         if replication is None:
             replication = Replication(self.inst, self.n, self.seed, rep)
             if rep < self._capacity:
                 self._kept[rep] = replication
-        return replication.designs() if _wide(self.inst) else replication
+        return replication
 
 
 def worker_count() -> int:

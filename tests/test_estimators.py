@@ -4,7 +4,6 @@ import pytest
 import grclab.estimators as est
 from grclab.errors import DimensionMismatch, GrclabError
 from grclab.estimators import (
-    SolveOptions,
     Weights,
     fit_grcl,
     fit_joint,
@@ -29,7 +28,7 @@ def grcl_normal_reference(x2, y2, w1, sigma):
     away from the vanishing-penalty regime.
     """
     n, d = x2.shape
-    tol = est.DEFAULT_OPTIONS.resolve(n, d)
+    tol = est._rank_tolerance(n, d)
     s = x2.T @ x2 + n * sigma.matrix()
     eigvals, eigvecs = np.linalg.eigh(s)
     cutoff = est.eigen_cutoff_ratio(tol, n, d) * max(eigvals[-1], 0.0)
@@ -67,7 +66,7 @@ class TestFitMinNorm:
         for n, d in [(12, 5), (5, 12), (8, 8)]:
             x = rng.standard_normal((n, d))
             y = rng.standard_normal(n)
-            tol = SolveOptions().resolve(n, d)
+            tol = est._rank_tolerance(n, d)
             np.testing.assert_allclose(
                 est._minnorm_normal(x, y, tol), est._minnorm_factor(x, y, tol), atol=1e-8
             )
@@ -256,12 +255,8 @@ class TestFitJoint:
 
 
 class TestOptions:
-    def test_bad_tolerance(self):
-        with pytest.raises(DimensionMismatch):
-            SolveOptions(rank_tolerance=2.0)
-
     def test_default_resolution(self):
-        assert SolveOptions().resolve(5000, 200) == pytest.approx(5e-7)
+        assert est._rank_tolerance(5000, 200) == pytest.approx(5e-7)
 
     def test_weights_must_be_finite(self):
         with pytest.raises(DimensionMismatch):

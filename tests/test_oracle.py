@@ -9,12 +9,26 @@ from grclab.errors import BudgetExceeded, DimensionMismatch, InvalidProbability
 from grclab.model import Design, ProblemInstance, make_spectrum
 from grclab.oracle import (
     EnumerationBudget,
+    _multinomial_states,
     binomial_mixed_moment,
     binomial_pmf,
     exact_one_hot_expected_excess,
 )
-from grclab.risk import GRCL, Joint, L2RCL, OCL, monte_carlo_expected_excess
-from grclab.regularizers import Regularizer
+from grclab.risk import (
+    GRCL,
+    Frequency,
+    Joint,
+    L2RCL,
+    OCL,
+    RiskWeighting,
+    Sketch,
+    TopK,
+    conditional_risk,
+    conditional_risk_joint,
+    monte_carlo_expected_excess,
+)
+from grclab.regularizers import Regularizer, onehot_frequency, sketch_regularizer, topk_empirical
+from grclab.sampler import REGULARIZER_STREAM, stream_seed
 from grclab.theory import joint_theory_one_hot
 
 
@@ -142,3 +156,76 @@ class TestExactEnumeration:
             exact = exact_one_hot_expected_excess(inst, n, algorithm)
             est, _ = monte_carlo_expected_excess(inst, algorithm, n, 4000, seed=2)
             assert abs(est.mean - exact.total) <= 4 * est.std_error + 1e-12
+
+
+def enumeration_algorithms(d):
+    lowrank = Regularizer(form="lowrank", factor=np.linspace(0.1, 0.6, 2 * d).reshape(2, d))
+    diagonal = Regularizer(form="diagonal", values=np.linspace(0.0, 0.8, d))
+    return [
+        OCL(), L2RCL(0.3), GRCL(regularizer=diagonal), GRCL(regularizer=lowrank),
+        GRCL(builder=Frequency()), GRCL(builder=TopK(1)), GRCL(builder=TopK(0)), Joint(),
+    ]
+
+
+def design_reference(inst, n, algorithm, weighting):
+    """Enumeration through ``conditional_risk*`` on the dense designs of each count pair."""
+    memory_seed = stream_seed(0, 0, REGULARIZER_STREAM)
+    bias_terms, var_terms = [], []
+    for c1, p1 in _multinomial_states(n, inst.g.values):
+        x1 = np.repeat(np.eye(inst.d), c1.astype(int), axis=0)
+        for c2, p2 in _multinomial_states(n, inst.h.values):
+            x2 = np.repeat(np.eye(inst.d), c2.astype(int), axis=0)
+            if isinstance(algorithm, Joint):
+                dec = conditional_risk_joint(x1, x2, inst, weighting)
+            else:
+                if isinstance(algorithm, OCL):
+                    sigma = None
+                elif isinstance(algorithm, L2RCL):
+                    sigma = Regularizer(form="diagonal", values=np.full(inst.d, algorithm.gamma))
+                elif algorithm.regularizer is not None:
+                    sigma = algorithm.regularizer
+                elif isinstance(algorithm.builder, TopK):
+                    sigma = topk_empirical(x1, algorithm.builder.k)
+                elif isinstance(algorithm.builder, Frequency):
+                    sigma = onehot_frequency(x1)
+                else:
+                    sigma = algorithm.builder(x1, memory_seed)
+                dec = conditional_risk(x1, x2, inst, sigma, weighting)
+            bias_terms.append(p1 * p2 * dec.bias)
+            var_terms.append(p1 * p2 * dec.variance)
+    return math.fsum(bias_terms), math.fsum(var_terms)
+
+
+def random_small_instances():
+    rng = np.random.default_rng(8)
+    for d, n in [(2, 5), (3, 4), (3, 3)]:
+        yield small_instance(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)),
+                             rng.standard_normal(d), sigma2=0.6), n
+    yield small_instance([0.7, 0.3, 0.0], [0.0, 0.4, 0.6], [1.0, -0.5, 2.0]), 4
+
+
+class TestCountPairs:
+    """The oracle reads each enumerated count pair as a count replication."""
+
+    def test_exact_values_equal_the_design_reference(self):
+        for inst, n in random_small_instances():
+            algorithms = enumeration_algorithms(inst.d) + [
+                GRCL(builder=Sketch(2)),
+                GRCL(builder=lambda x1, seed: sketch_regularizer(x1[::-1], 2, seed + 1)),
+            ]
+            for algorithm in algorithms:
+                for weighting in RiskWeighting:
+                    dec = exact_one_hot_expected_excess(inst, n, algorithm, weighting=weighting)
+                    assert (dec.bias, dec.variance) == design_reference(inst, n, algorithm, weighting)
+
+    def test_count_determined_algorithms_build_and_scan_no_design(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a design was built or scanned")
+
+        monkeypatch.setattr("grclab.risk._rows_of_counts", forbidden)
+        monkeypatch.setattr("grclab.risk._is_one_hot_rows", forbidden)
+        monkeypatch.setattr("grclab.regularizers._is_one_hot_rows", forbidden)
+        for inst, n in random_small_instances():
+            for algorithm in enumeration_algorithms(inst.d):
+                for weighting in RiskWeighting:
+                    exact_one_hot_expected_excess(inst, n, algorithm, weighting=weighting)

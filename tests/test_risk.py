@@ -13,7 +13,7 @@ from grclab import sampler
 from grclab.errors import ConfigParse, DimensionMismatch, GrclabError, KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
-from grclab.estimators import DEFAULT_OPTIONS, eigen_cutoff_ratio
+from grclab.estimators import eigen_cutoff_ratio
 from grclab.regularizers import (
     Regularizer,
     onehot_frequency,
@@ -23,7 +23,6 @@ from grclab.regularizers import (
 )
 from grclab.risk import (
     GRCL,
-    Designs,
     Frequency,
     Joint,
     L2RCL,
@@ -212,7 +211,7 @@ class TestConditionalRisk:
             assert fast.bias == pytest.approx(dense.bias, abs=1e-10)
             assert fast.variance == pytest.approx(dense.variance, abs=1e-10)
             fast = conditional_risk_joint(x1, x2, inst, weighting)
-            dense = _joint_risk(normal, inst, weighting, DEFAULT_OPTIONS)
+            dense = _joint_risk(normal, inst, weighting)
             assert fast.bias == pytest.approx(dense.bias, abs=1e-10)
             assert fast.variance == pytest.approx(dense.variance, abs=1e-10)
 
@@ -236,9 +235,9 @@ class TestConditionalRisk:
         for weighting in RiskWeighting:
             pairs = [
                 (conditional_risk(x1, x2, inst, None, weighting),
-                 _conditional_sequential_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+                 _conditional_sequential_gram(x1, x2, inst, weighting)),
                 (conditional_risk_joint(x1, x2, inst, weighting),
-                 _conditional_joint_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+                 _conditional_joint_gram(x1, x2, inst, weighting)),
             ]
             for dense, gram in pairs:
                 assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
@@ -280,9 +279,9 @@ class TestConditionalRisk:
                 for weighting in RiskWeighting:
                     pairs = [
                         (conditional_risk(x1, x2, inst, None, weighting),
-                         _conditional_sequential_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+                         _conditional_sequential_gram(x1, x2, inst, weighting)),
                         (conditional_risk_joint(x1, x2, inst, weighting),
-                         _conditional_joint_gram(x1, x2, inst, weighting, DEFAULT_OPTIONS)),
+                         _conditional_joint_gram(x1, x2, inst, weighting)),
                     ]
                     for dense, gram in pairs:
                         assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
@@ -705,19 +704,21 @@ class TestWidePath:
         before = x1.tobytes(), x2.tobytes()
         first = conditional_risk(x1, x2, inst, None), conditional_risk_joint(x1, x2, inst)
         assert (x1.tobytes(), x2.tobytes()) == before
-        designs = Designs(inst, x1, x2, seed=0, rep=0)
-        assert (OCL().risk(designs, RiskWeighting.JOINT), Joint().risk(designs, RiskWeighting.JOINT)) == first
+        given = Replication.of_designs(inst, x1, x2)
+        assert (OCL().risk(given, RiskWeighting.JOINT), Joint().risk(given, RiskWeighting.JOINT)) == first
         assert (x1.tobytes(), x2.tobytes()) == before
 
     def test_monte_carlo_designs_serve_every_risk(self):
         inst = wide_instance()
-        designs = Replications(inst, 5, 2, seed=1)[0]
-        before = designs.x1.tobytes(), designs.x2.tobytes()
-        risks = [algorithm.risk(designs, weighting)
+        replication = Replications(inst, 5, 2, seed=1)[0]
+        x1, x2 = replication.designs()
+        before = x1.tobytes(), x2.tobytes()
+        risks = [algorithm.risk(replication, weighting)
                  for algorithm in (OCL(), Joint(), OCL()) for weighting in RiskWeighting]
-        assert (designs.x1.tobytes(), designs.x2.tobytes()) == before
+        assert replication.designs()[0] is x1 and replication.designs()[1] is x2
+        assert (x1.tobytes(), x2.tobytes()) == before
         assert risks[:3] == risks[6:]
-        assert risks[0] == conditional_risk(designs.x1, designs.x2, inst, None, RiskWeighting.TASK1)
+        assert risks[0] == conditional_risk(x1, x2, inst, None, RiskWeighting.TASK1)
 
     @pytest.mark.parametrize("d", [4100, 60])
     def test_draws_equal_the_sampler_bit_for_bit(self, monkeypatch, d):
@@ -730,10 +731,10 @@ class TestWidePath:
 
         monkeypatch.setattr(sampler, "sample_gaussian_design", recorded)
         inst = make_problem_pk(3, d, Design.GAUSSIAN)
-        designs = Replication(inst, 9, 4, 2).designs()
+        x1, x2 = Replication(inst, 9, 4, 2).designs()
         seeds = [sampler.stream_seed(4, 2, tag) for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN)]
-        assert designs.x1.tobytes() == draw(inst.g, 9, seeds[0]).tobytes()
-        assert designs.x2.tobytes() == draw(inst.h, 9, seeds[1]).tobytes()
+        assert x1.tobytes() == draw(inst.g, 9, seeds[0]).tobytes()
+        assert x2.tobytes() == draw(inst.h, 9, seeds[1]).tobytes()
         # X2 comes from a helper thread only above the dense limit
         assert len(set(threads)) == (2 if d > 4096 else 1)
 
@@ -783,8 +784,8 @@ class TestAlgorithmProtocol:
         inst = make_problem_pk(3, 6, design)
         draw = sample_one_hot_design if design is Design.ONE_HOT else sample_gaussian_design
         x1, x2 = draw(inst.g, 9, 1), draw(inst.h, 9, 2)
-        designs = Designs(inst, x1, x2, seed=4, rep=0)
-        seed = sampler.stream_seed(4, 0, sampler.REGULARIZER_STREAM)
+        designs = Replication.of_designs(inst, x1, x2)
+        seed = sampler.stream_seed(0, 0, sampler.REGULARIZER_STREAM)
         cases = [
             (OCL(), None),
             (L2RCL(0.4), Regularizer(form="diagonal", values=np.full(6, 0.4))),
@@ -794,6 +795,47 @@ class TestAlgorithmProtocol:
         for algorithm, sigma in cases:
             assert algorithm.risk(designs, RiskWeighting.JOINT) == conditional_risk(x1, x2, inst, sigma)
         assert Joint().risk(designs, RiskWeighting.JOINT) == conditional_risk_joint(x1, x2, inst)
+
+    @pytest.mark.parametrize("design, d, n", [
+        (Design.ONE_HOT, 6, 9), (Design.ONE_HOT, 5, 2), (Design.GAUSSIAN, 6, 9), (Design.GAUSSIAN, 4100, 7),
+    ])
+    def test_drawn_given_and_count_replications_agree(self, design, d, n):
+        inst = zero_mass_instance() if (design, d) == (Design.ONE_HOT, 5) else make_problem_pk(3, d, design)
+        if d > 4096:
+            algorithms = [OCL(), Joint()]  # the Gram path; other memories are d x d
+        else:
+            algorithms = count_path_algorithms(d) if design is Design.ONE_HOT else shared_algorithms(d)
+            algorithms += [GRCL(builder=Sketch(2)), GRCL(builder=lambda x1, seed: sketch_regularizer(x1, 3, seed))]
+        algorithms = [a for a in algorithms if not isinstance(getattr(a, "builder", None), TopK) or a.builder.k <= n]
+
+        def risks(replication):
+            return [tuple(a.risk(replication, weighting) for weighting in RiskWeighting)
+                    for a in algorithms]
+
+        # the streams of (seed 0, rep 0), whose memory seed a given replication has
+        drawn = risks(Replication(inst, n, 0, 0))
+        x1, x2 = Replication(inst, n, 0, 0).designs()
+        assert risks(Replication.of_designs(inst, x1, x2)) == drawn
+        if design is Design.ONE_HOT:
+            c1, c2 = x1.sum(axis=0), x2.sum(axis=0)
+            rows = [np.repeat(np.eye(d), c.astype(int), axis=0) for c in (c1, c2)]
+            counted = risks(Replication.of_counts(inst, c1, c2))
+            assert counted == risks(Replication.of_designs(inst, *rows))
+            for algorithm, got, want in zip(algorithms, counted, drawn):
+                # a builder that reads rows sees them in atom order, not in draw order
+                reads_rows = getattr(algorithm, "builder", None) is not None and not hasattr(
+                    algorithm.builder, "memory")
+                assert reads_rows or got == want
+
+    def test_given_pair_may_have_unequal_sizes(self):
+        inst = make_problem_pk(3, 5, Design.ONE_HOT)
+        x1, x2 = sample_one_hot_design(inst.g, 4, 1), sample_one_hot_design(inst.h, 11, 2)
+        counted = Replication.of_counts(inst, x1.sum(axis=0), x2.sum(axis=0))
+        assert (counted.n, counted.n2) == (4, 11)
+        sigma = Regularizer(form="diagonal", values=np.full(5, 0.2))
+        for weighting in RiskWeighting:
+            assert counted.sequential_risk(sigma, weighting) == conditional_risk(x1, x2, inst, sigma, weighting)
+            assert counted.joint_risk(weighting) == conditional_risk_joint(x1, x2, inst, weighting)
 
 
 class TestFailFast:

@@ -6,7 +6,10 @@ import pytest
 from grclab.errors import IndexSetTooLarge, NotDiagonal, NotOneHot
 from grclab.model import Design, ProblemInstance, gaussian_index_set, make_spectrum
 from grclab.regularizers import Regularizer, corollary3_regularizer, zero_regularizer
+from grclab.oracle import exact_one_hot_expected_excess
+from grclab.risk import Joint, L2RCL, OCL
 from grclab.theory import (
+    ONE_HOT_WINDOW,
     gaussian_ocl_lower,
     gaussian_ocl_upper,
     grcl_theory_one_hot,
@@ -238,6 +241,36 @@ class TestL2rclUpper:
         grid = np.geomspace(1e-6, 1.0, 25)
         values = [l2rcl_upper_one_hot(inst, g, n) for g in grid]
         assert min(values) >= 0.05
+
+
+def random_small_one_hot_instances(count=12, seed=3):
+    """One-hot instances small enough to enumerate: d in {2, 3}, n <= 20."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = 2 if i % 2 == 0 else 3
+        n = int(rng.integers(2, 21 if d == 2 else 11))
+        inst = one_hot_inst(rng.dirichlet(np.ones(d)), rng.dirichlet(np.ones(d)),
+                            rng.standard_normal(d), sigma2=float(rng.uniform(0.1, 2.0)))
+        yield inst, n
+
+
+class TestAgainstEnumeration:
+    """The gap surrogates against exact design expectations from the oracle."""
+
+    def test_ocl_gap_within_window_of_exact_gap(self):
+        lo, hi = ONE_HOT_WINDOW
+        for inst, n in random_small_one_hot_instances():
+            exact = (exact_one_hot_expected_excess(inst, n, OCL()).total
+                     - exact_one_hot_expected_excess(inst, n, Joint()).total)
+            surrogate = ocl_gap_one_hot(inst, n)
+            assert lo * surrogate <= exact <= hi * surrogate
+
+    def test_l2rcl_upper_bounds_exact_excess_over_joint(self):
+        for inst, n in random_small_one_hot_instances():
+            joint = exact_one_hot_expected_excess(inst, n, Joint()).total
+            for gamma in (0.01, 0.3, 2.0):
+                excess = exact_one_hot_expected_excess(inst, n, L2RCL(gamma)).total - joint
+                assert excess <= ONE_HOT_WINDOW[1] * l2rcl_upper_one_hot(inst, gamma, n)
 
 
 def heavy_tail_instance(d=2000, n=100, tau=5e-4):
