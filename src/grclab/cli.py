@@ -197,9 +197,7 @@ def config_from_fields(fields: dict) -> ExperimentConfig:
 
 # -- sweeps --------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value == "":
-        return ""
+def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
 
@@ -238,7 +236,8 @@ def _sweep_row(algorithm, shared: Replications, column: str) -> str:
 
 
 def _check_cells(config: ExperimentConfig, cells) -> None:
-    """Reject a sweep with no output directory or with an (algorithm, n) cell that cannot run.
+    """Reject a sweep whose output path is a directory or lies in a missing one,
+    or that has an (algorithm, n) cell that cannot run.
 
     Runs before the first draw, so a bad config costs no compute and
     leaves no partial CSV.
@@ -247,6 +246,8 @@ def _check_cells(config: ExperimentConfig, cells) -> None:
     directory = os.path.dirname(config.output_path) or "."
     if not os.path.isdir(directory):
         raise ConfigParse(f"output directory {directory!r} does not exist")
+    if os.path.isdir(config.output_path):
+        raise ConfigParse(f"output {config.output_path!r} is a directory")
     for algorithm, n in cells:
         try:
             check_algorithm(algorithm, config.instance, n)

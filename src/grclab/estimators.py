@@ -2,9 +2,9 @@
 
 All fits return the minimum-norm member of the solution set, with matrix
 inverses taken in the Moore-Penrose sense under a relative singular-value
-cutoff.  Two solver paths exist: an explicit normal-matrix path for
-moderate d and a design-factorization path for large d; they agree to
-1e-8 and the dispatch threshold is ``NORMAL_PATH_MAX_D``.
+cutoff.  Each fit is one least-squares solve on its design (the SVD of
+``numpy.linalg.lstsq``), never on the assembled normal matrix, whose
+condition number is the square of the design's.
 """
 
 from __future__ import annotations
@@ -15,18 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .regularizers import _as_regularizer
-
-NORMAL_PATH_MAX_D = 4096
-
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def eigen_cutoff_ratio(tol: float, n: int, d: int) -> float:
-    """Relative cutoff for gram-matrix eigenvalues matching a singular-value
-    cutoff of ``tol``, floored at the symmetric-eigensolver noise level so
-    exact rank deficiencies are still dropped."""
-    return max(tol * tol, _EPS * max(n, d))
-
 
 @dataclass(frozen=True)
 class Weights:
@@ -59,32 +47,17 @@ def _check_xy(x, y):
     return x, y
 
 
-def _minnorm_factor(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+def _min_norm(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Min-norm least-squares solution of X v = y; singular values below
+    ``tol`` times the largest count as zero."""
     sol, *_ = np.linalg.lstsq(x, y, rcond=tol)
     return sol
-
-
-def _minnorm_normal(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    # Pseudoinverse of X^T X via eigendecomposition; eigenvalues carry squared
-    # singular values, so the cutoff is squared (with a noise floor).
-    gram = x.T @ x
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    cutoff = eigen_cutoff_ratio(tol, *x.shape) * max(eigvals[-1], 0.0)
-    inv = np.where(eigvals > cutoff, 1.0 / np.maximum(eigvals, 1e-300), 0.0)
-    return eigvecs @ (inv * (eigvecs.T @ (x.T @ y)))
-
-
-def _minnorm_lstsq(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    if x.shape[1] <= NORMAL_PATH_MAX_D:
-        return _minnorm_normal(x, y, tol)
-    return _minnorm_factor(x, y, tol)
 
 
 def fit_min_norm(x, y) -> Weights:
     """Minimum-l2-norm least-squares solution (interpolator when feasible)."""
     x, y = _check_xy(x, y)
-    tol = _rank_tolerance(*x.shape)
-    return Weights(_minnorm_lstsq(x, y, tol))
+    return Weights(_min_norm(x, y, _rank_tolerance(*x.shape)))
 
 
 def fit_ocl(x2, y2, w1: Weights) -> Weights:
@@ -97,8 +70,7 @@ def fit_ocl(x2, y2, w1: Weights) -> Weights:
     x2, y2 = _check_xy(x2, y2)
     if w1.d != x2.shape[1]:
         raise DimensionMismatch(f"w1 has d={w1.d}, X2 has d={x2.shape[1]}")
-    tol = _rank_tolerance(*x2.shape)
-    v = _minnorm_lstsq(x2, y2 - x2 @ w1.w, tol)
+    v = _min_norm(x2, y2 - x2 @ w1.w, _rank_tolerance(*x2.shape))
     return Weights(w1.w + v)
 
 
@@ -128,11 +100,10 @@ def fit_grcl(x2, y2, w1: Weights, sigma) -> Weights:
     sigma = _as_regularizer(sigma, d)
     if sigma.is_zero:
         return fit_ocl(x2, y2, w1)
-    tol = _rank_tolerance(n, d)
     w_rows = sigma.sqrt_factor()
     stacked = np.vstack([x2, np.sqrt(n) * w_rows])
     rhs = np.concatenate([y2 - x2 @ w1.w, np.zeros(w_rows.shape[0])])
-    v = _minnorm_factor(stacked, rhs, tol)
+    v = _min_norm(stacked, rhs, _rank_tolerance(n, d))
     return Weights(w1.w + v)
 
 
@@ -144,5 +115,4 @@ def fit_joint(x1, y1, x2, y2) -> Weights:
         raise DimensionMismatch(f"d mismatch: {x1.shape[1]} vs {x2.shape[1]}")
     x = np.vstack([x1, x2])
     y = np.concatenate([y1, y2])
-    tol = _rank_tolerance(*x.shape)
-    return Weights(_minnorm_lstsq(x, y, tol))
+    return Weights(_min_norm(x, y, _rank_tolerance(*x.shape)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,18 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         self.values.setflags(write=False)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative sums of ``values``: the inverse-CDF table of a one-hot draw."""
+        cdf = np.cumsum(self.values)
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
+    def last_atom(self) -> int:
+        """Index of the last entry with positive mass."""
+        return int(np.flatnonzero(self.values)[-1])
 
 
 def make_spectrum(values, one_hot: bool = False) -> Spectrum:

@@ -130,24 +130,21 @@ def _is_one_hot_rows(x: np.ndarray) -> bool:
     return bool(np.all((x == 0.0) | (x == 1.0)) and np.all(x.sum(axis=1) == 1.0))
 
 
-def onehot_frequency(x1: np.ndarray, min_count: int = 1) -> Regularizer:
+def onehot_frequency(x1: np.ndarray) -> Regularizer:
     """Diagonal Sigma of observed-atom frequencies count_i / n.
 
-    Coordinates seen fewer than ``min_count`` times are dropped; whatever
-    remains is an unbiased estimate of the kept eigenvalues.
+    Unseen coordinates get 0; each frequency is an unbiased estimate of
+    its eigenvalue.
     """
     x1 = np.asarray(x1, dtype=float)
-    if min_count < 1:
-        raise KTooLarge(f"min_count must be >= 1, got {min_count}")
     if x1.ndim != 2 or not _is_one_hot_rows(x1):
         raise NotOneHotDesign("rows must be standard basis vectors")
-    return _count_frequency(x1.sum(axis=0), x1.shape[0], min_count)
+    return _count_frequency(x1.sum(axis=0), x1.shape[0])
 
 
-def _count_frequency(counts: np.ndarray, n: int, min_count: int = 1) -> Regularizer:
-    """Diagonal Sigma of counts / n over the atoms counted at least ``min_count`` times."""
-    gamma = np.where(counts >= min_count, counts / n, 0.0)
-    return Regularizer(form=DIAGONAL, values=gamma)
+def _count_frequency(counts: np.ndarray, n: int) -> Regularizer:
+    """Diagonal Sigma of the atom frequencies counts / n."""
+    return Regularizer(form=DIAGONAL, values=counts / n)
 
 
 def corollary3_regularizer(g: Spectrum, n: int) -> Regularizer:

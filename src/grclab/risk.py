@@ -21,7 +21,7 @@ import numpy as np
 
 from . import sampler
 from .errors import ConfigParse, DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
-from .estimators import NORMAL_PATH_MAX_D, Weights, _rank_tolerance, eigen_cutoff_ratio
+from .estimators import Weights, _rank_tolerance
 from .model import Design, ProblemInstance, RiskDecomposition
 from .regularizers import (
     Regularizer,
@@ -36,6 +36,12 @@ from .regularizers import (
     zero_regularizer,
 )
 from .theory import BoundReport, grcl_theory_one_hot, joint_theory_one_hot
+
+
+# Gaussian instances wider than this take the n x n Gram path.
+NORMAL_PATH_MAX_D = 4096
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class RiskWeighting(enum.Enum):
@@ -94,6 +100,17 @@ def _check_designs(x1, x2, inst):
     return x1, x2
 
 
+def _eigen_cutoff_ratio(n: int, d: int) -> float:
+    """Relative eigenvalue cutoff of a Gram or normal matrix of an n x d design.
+
+    It matches the singular-value cutoff ``_rank_tolerance(n, d)`` of the
+    fits, floored at the symmetric-eigensolver noise level so exact rank
+    deficiencies are still dropped.
+    """
+    tol = _rank_tolerance(n, d)
+    return max(tol * tol, _EPS * max(n, d))
+
+
 def _split_spectrum(eigvals: np.ndarray, cutoff_ratio: float):
     """Kept directions of a PSD spectrum and the pseudoinverse of its eigenvalues."""
     cutoff = cutoff_ratio * max(eigvals[-1], 0.0)
@@ -148,7 +165,7 @@ class NormalMatrices:
 def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting):
     d = inst.d
     n_big = max(normal.n1, normal.n2)
-    cutoff = eigen_cutoff_ratio(_rank_tolerance(n_big, d), n_big, d)
+    cutoff = _eigen_cutoff_ratio(n_big, d)
     m = weight_vector(inst, weighting)
 
     eigvals1, v1 = normal.eigh_a1()
@@ -180,7 +197,7 @@ def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting):
 def _joint_risk(normal: NormalMatrices, inst, weighting):
     d = inst.d
     n = normal.n1 + normal.n2
-    cutoff = eigen_cutoff_ratio(_rank_tolerance(n, d), n, d)
+    cutoff = _eigen_cutoff_ratio(n, d)
     m = weight_vector(inst, weighting)
     _, v, inv, keep = _pinv_parts(normal.a1 + normal.a2, cutoff)
     v_null = v[:, ~keep]
@@ -246,7 +263,7 @@ def _conditional_sequential_gram(x1, x2, inst, weighting):
     n1, d = x1.shape
     n2 = x2.shape[0]
     n_big = max(n1, n2)
-    cutoff = eigen_cutoff_ratio(_rank_tolerance(n_big, d), n_big, d)
+    cutoff = _eigen_cutoff_ratio(n_big, d)
     m = weight_vector(inst, weighting)
 
     a1_plus = _pinv_sym(x1 @ x1.T, cutoff)
@@ -282,7 +299,7 @@ def _conditional_joint_gram(x1, x2, inst, weighting):
     """
     n1, d = x1.shape
     n = n1 + x2.shape[0]
-    cutoff = eigen_cutoff_ratio(_rank_tolerance(n, d), n, d)
+    cutoff = _eigen_cutoff_ratio(n, d)
     m = weight_vector(inst, weighting)
 
     k12 = x1 @ x2.T
@@ -701,7 +718,7 @@ class Replications:
         if seed < 0:
             raise DimensionMismatch(f"need seed >= 0, got {seed}")
         self.inst, self.n, self.reps, self.seed = inst, n, reps, seed
-        dense = inst.design is Design.GAUSSIAN and inst.d <= NORMAL_PATH_MAX_D
+        dense = inst.design is Design.GAUSSIAN and not _wide(inst)
         self._capacity = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d)) if dense else 0
         self._kept: dict[int, Replication] = {}
 

@@ -39,10 +39,9 @@ def _one_hot_indices(s: Spectrum, n: int, seed) -> np.ndarray:
     """
     if not s.one_hot:
         raise NotAProbabilitySpectrum("design spectrum must be one-hot")
-    cdf = np.cumsum(s.values)
     u = _rng(seed).random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, np.flatnonzero(s.values)[-1])
+    idx = np.searchsorted(s.cdf, u, side="right")
+    return np.minimum(idx, s.last_atom)
 
 
 def sample_one_hot_design(s: Spectrum, n: int, seed) -> np.ndarray:

@@ -471,6 +471,25 @@ class TestFailFast:
         assert captured.err.startswith("config error: output directory ")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["sweep-n", "sweep-k"])
+    def test_output_that_is_a_directory_exits_2_before_any_row(self, command, tmp_path, capsys, monkeypatch):
+        import grclab.cli as cli
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(cli, "monte_carlo_expected_excess", no_rows)
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        path = write_config(tmp_path / "c.cfg", f"pk_k = 3\npk_d = 8\nn_values = 4\nn = 4\n"
+                                                f"k_values = 0, 1\nreps = 2\noutput = {out}\n")
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"config error: output {str(out)!r} is a directory")
+        assert not any(out.iterdir())
+
     def test_library_errors_exit_2(self, tmp_path, capsys, monkeypatch):
         import grclab.cli as cli
         from grclab.errors import NotPSD

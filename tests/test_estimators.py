@@ -11,6 +11,7 @@ from grclab.estimators import (
     fit_ocl,
 )
 from grclab.regularizers import Regularizer, zero_regularizer
+from grclab.risk import _eigen_cutoff_ratio
 
 
 def svd_min_norm(x, y):
@@ -28,10 +29,9 @@ def grcl_normal_reference(x2, y2, w1, sigma):
     away from the vanishing-penalty regime.
     """
     n, d = x2.shape
-    tol = est._rank_tolerance(n, d)
     s = x2.T @ x2 + n * sigma.matrix()
     eigvals, eigvecs = np.linalg.eigh(s)
-    cutoff = est.eigen_cutoff_ratio(tol, n, d) * max(eigvals[-1], 0.0)
+    cutoff = _eigen_cutoff_ratio(n, d) * max(eigvals[-1], 0.0)
     inv = np.where(eigvals > cutoff, 1.0 / np.maximum(eigvals, 1e-300), 0.0)
     v = eigvecs @ (inv * (eigvecs.T @ (x2.T @ (y2 - x2 @ w1.w))))
     return Weights(w1.w + v)
@@ -48,10 +48,25 @@ class TestFitMinNorm:
         np.testing.assert_allclose(w.w, [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_against_svd_oracle(self):
+        # Over- and underdetermined, square, rank-deficient (a duplicated
+        # column) and wider than the dense risk path; fit_ocl from w1 = 0
+        # and fit_joint on the design split in two are the same solve.
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((6, 4))
-        y = rng.standard_normal(6)
-        np.testing.assert_allclose(fit_min_norm(x, y).w, svd_min_norm(x, y), atol=1e-9)
+        designs = [rng.standard_normal(shape) for shape in [(6, 4), (12, 5), (5, 12), (8, 8), (3, 4100)]]
+        duplicated = rng.standard_normal((7, 6))
+        duplicated[:, 4] = duplicated[:, 1]
+        designs.append(duplicated)
+        for x in designs:
+            n, d = x.shape
+            y = rng.standard_normal(n)
+            expected = svd_min_norm(x, y)
+            half = n // 2
+            for got in (
+                fit_min_norm(x, y),
+                fit_ocl(x, y, Weights(np.zeros(d))),
+                fit_joint(x[:half], y[:half], x[half:], y[half:]),
+            ):
+                np.testing.assert_allclose(got.w, expected, atol=1e-9)
 
     def test_solution_in_row_space(self):
         rng = np.random.default_rng(1)
@@ -60,16 +75,6 @@ class TestFitMinNorm:
         pinv = np.linalg.pinv(x)
         out_of_row_space = w - pinv @ (x @ w)
         assert np.linalg.norm(out_of_row_space) <= 1e-9 * np.linalg.norm(w)
-
-    def test_paths_agree(self):
-        rng = np.random.default_rng(2)
-        for n, d in [(12, 5), (5, 12), (8, 8)]:
-            x = rng.standard_normal((n, d))
-            y = rng.standard_normal(n)
-            tol = est._rank_tolerance(n, d)
-            np.testing.assert_allclose(
-                est._minnorm_normal(x, y, tol), est._minnorm_factor(x, y, tol), atol=1e-8
-            )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -68,10 +68,6 @@ class TestOnehotFrequency:
         np.testing.assert_allclose(reg.values, [1.0, 0.0])
         assert reg.memory_size == 1
 
-    def test_min_count_threshold(self):
-        reg = onehot_frequency(one_hot_rows([4, 1, 3]), min_count=2)
-        np.testing.assert_allclose(reg.values, [0.5, 0.0, 0.375])
-
     def test_rejects_dense_rows(self):
         with pytest.raises(NotOneHotDesign):
             onehot_frequency(np.full((3, 2), 0.5))

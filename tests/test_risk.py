@@ -13,7 +13,6 @@ from grclab import sampler
 from grclab.errors import ConfigParse, DimensionMismatch, GrclabError, KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
-from grclab.estimators import eigen_cutoff_ratio
 from grclab.regularizers import (
     Regularizer,
     onehot_frequency,
@@ -41,7 +40,7 @@ from grclab.risk import (
     weight_vector,
     worker_count,
 )
-from grclab.risk import _conditional_joint_gram, _conditional_sequential_gram, _joint_risk
+from grclab.risk import _conditional_joint_gram, _conditional_sequential_gram, _eigen_cutoff_ratio, _joint_risk
 from grclab.sampler import sample_gaussian_design, sample_one_hot_design
 
 
@@ -394,7 +393,7 @@ class TestMonteCarlo:
 def reference_sequential_dense(x1, x2, inst, sigma_mat, m):
     """The dense sequential risk as first written: S^+ X2^T formed explicitly."""
     n, d = x2.shape
-    cutoff = eigen_cutoff_ratio(1e-10 * max(x1.shape[0], n, d), max(x1.shape[0], n), d)
+    cutoff = _eigen_cutoff_ratio(max(x1.shape[0], n), d)
 
     def parts(sym):
         vals, vecs = np.linalg.eigh(sym)
@@ -416,7 +415,7 @@ def reference_sequential_dense(x1, x2, inst, sigma_mat, m):
 def reference_joint_dense(x1, x2, inst, m):
     """The dense joint risk as first written: on the stacked design."""
     x = np.vstack([x1, x2])
-    cutoff = eigen_cutoff_ratio(1e-10 * max(x.shape), *x.shape)
+    cutoff = _eigen_cutoff_ratio(*x.shape)
     vals, vecs = np.linalg.eigh(x.T @ x)
     keep = vals > cutoff * max(vals[-1], 0.0)
     inv = np.where(keep, 1.0 / np.maximum(vals, 1e-300), 0.0)

@@ -52,6 +52,9 @@ class TestOneHotDesign:
             sample_one_hot_design(make_spectrum([0.5, 0.2]), 10, seed=0)
         with pytest.raises(NotAProbabilitySpectrum):
             sample_one_hot_counts(make_spectrum([0.5, 0.2]), 10, seed=0)
+        # no positive atom: the check runs before the cached table is read
+        with pytest.raises(NotAProbabilitySpectrum):
+            sample_one_hot_counts(make_spectrum([0.0, 0.0]), 10, seed=0)
 
     def test_top_of_the_unit_interval_avoids_zero_mass_atoms(self, monkeypatch):
         # ten 0.1 entries sum to 1 - 2**-53 in float, below the top draw
@@ -85,6 +88,10 @@ class TestOneHotCounts:
         counts = sample_one_hot_counts(s, n, seed)
         assert counts.dtype == np.float64 and counts.shape == (s.d,)
         assert counts.tobytes() == sample_one_hot_design(s, n, seed).sum(axis=0).tobytes()
+        # the inverse-CDF draw spelled out, without the spectrum's cached table
+        u = np.random.default_rng(seed).random(n)
+        idx = np.minimum(np.searchsorted(np.cumsum(s.values), u, side="right"), np.flatnonzero(s.values)[-1])
+        assert counts.tobytes() == np.bincount(idx, minlength=s.d).astype(float).tobytes()
         assert not counts[s.values == 0].any()
 
 
