@@ -19,7 +19,6 @@ from .oracle import EnumerationBudget, binomial_mixed_moment, binomial_pmf, exac
 from .regularizers import (
     Regularizer,
     corollary3_regularizer,
-    onehot_frequency,
     sketch_regularizer,
     topk_empirical,
     topk_spectrum_regularizer,

@@ -97,7 +97,6 @@ class ExperimentConfig:
     reps: int
     seed: int
     output_path: str
-    suites: tuple[str, ...] = VERIFY_SUITES
 
     def __post_init__(self):
         if self.reps < 2:
@@ -108,7 +107,7 @@ class ExperimentConfig:
 
 _KNOWN_KEYS = {
     "pk_k", "pk_d", "instance", "design", "n_values", "k_values", "n",
-    "algorithms", "reps", "seed", "output", "suites",
+    "algorithms", "reps", "seed", "output",
 }
 
 
@@ -171,13 +170,6 @@ def config_from_fields(fields: dict) -> ExperimentConfig:
             if "k_values" in fields
             else tuple(range(16))
         )
-        suites = tuple(
-            s.strip() for s in fields.get("suites", ",".join(VERIFY_SUITES)).split(",")
-            if s.strip()
-        )
-        for s in suites:
-            if s not in VERIFY_SUITES:
-                raise ConfigParse(f"unknown verify suite {s!r}")
         return ExperimentConfig(
             instance=inst,
             algorithms=algorithms,
@@ -187,7 +179,6 @@ def config_from_fields(fields: dict) -> ExperimentConfig:
             reps=int(fields.get("reps", 20)),
             seed=int(fields.get("seed", 1)),
             output_path=fields.get("output", "sweep.csv"),
-            suites=suites,
         )
     except (ValueError, OSError, GrclabError) as exc:
         if isinstance(exc, ConfigParse):
@@ -578,9 +569,9 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_verify(config: ExperimentConfig, suite: str | None = None) -> tuple[str, int]:
-    """Run the selected verification suites and render a text report."""
-    names = (suite,) if suite else config.suites
+def run_verify(suite: str | None = None) -> tuple[str, int]:
+    """Run every verification suite, or the one named, and render a text report."""
+    names = (suite,) if suite else VERIFY_SUITES
     for name in names:
         if name not in _SUITE_RUNNERS:
             raise ConfigParse(f"unknown verify suite {name!r}")
@@ -616,7 +607,7 @@ def main(argv=None) -> int:
             path = run_sweep_k(config)
             print(path)
             return 0
-        report, code = run_verify(config, args.suite)
+        report, code = run_verify(args.suite)
         print(report, end="")
         return code
     except ConfigParse as exc:

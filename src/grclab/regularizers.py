@@ -9,10 +9,11 @@ per nonzero diagonal entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
+from .errors import DimensionMismatch, KTooLarge, NotPSD
 from .model import Spectrum
 
 DIAGONAL = "diagonal"
@@ -111,35 +112,23 @@ def topk_empirical(x1: np.ndarray, k: int) -> Regularizer:
     """Best rank-k PSD approximation of the empirical covariance X1^T X1 / n."""
     x1 = np.asarray(x1, dtype=float)
     n, d = x1.shape
+    return topk_from_eigh(lambda: np.linalg.eigh(x1.T @ x1), n, d, k)
+
+
+def topk_from_eigh(eigh_a1: Callable[[], tuple], n: int, d: int, k: int) -> Regularizer:
+    """Best rank-k PSD approximation of A1 / n, for A1 = X1^T X1 of an n x d X1.
+
+    ``eigh_a1()`` returns ``np.linalg.eigh(A1)`` and is called only for
+    k > 0.  Its eigenvalues ascend, so the last k columns, largest first,
+    are the top k; the eigenvalues are divided by n after the decomposition.
+    """
     check_topk_size(k, n, d)
     if k == 0:
         return zero_regularizer(d)
-    return topk_from_eigh(*np.linalg.eigh(x1.T @ x1 / n), k)
-
-
-def topk_from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray, k: int) -> Regularizer:
-    """Best rank-k PSD approximation of a symmetric matrix given its eigenpairs."""
-    top = np.argsort(eigvals)[::-1][:k]
-    w = np.clip(eigvals[top], 0.0, None)
-    factor = np.sqrt(w)[:, None] * eigvecs[:, top].T
-    return Regularizer(form=LOWRANK, factor=factor)
-
-
-def _is_one_hot_rows(x: np.ndarray) -> bool:
-    """Whether every row of the matrix ``x`` is a standard basis vector."""
-    return bool(np.all((x == 0.0) | (x == 1.0)) and np.all(x.sum(axis=1) == 1.0))
-
-
-def onehot_frequency(x1: np.ndarray) -> Regularizer:
-    """Diagonal Sigma of observed-atom frequencies count_i / n.
-
-    Unseen coordinates get 0; each frequency is an unbiased estimate of
-    its eigenvalue.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    if x1.ndim != 2 or not _is_one_hot_rows(x1):
-        raise NotOneHotDesign("rows must be standard basis vectors")
-    return _count_frequency(x1.sum(axis=0), x1.shape[0])
+    eigvals, eigvecs = eigh_a1()
+    top = slice(-1, -k - 1, -1)
+    w = np.clip(eigvals[top], 0.0, None) / n
+    return Regularizer(form=LOWRANK, factor=np.sqrt(w)[:, None] * eigvecs[:, top].T)
 
 
 def _count_frequency(counts: np.ndarray, n: int) -> Regularizer:

@@ -27,7 +27,6 @@ from .regularizers import (
     Regularizer,
     _as_regularizer,
     _count_frequency,
-    _is_one_hot_rows,
     check_topk_size,
     corollary3_regularizer,
     sketch_regularizer,
@@ -85,6 +84,11 @@ def population_excess(w: Weights, inst: ProblemInstance,
     return float(m @ (diff * diff))
 
 
+def _is_one_hot_rows(x: np.ndarray) -> bool:
+    """Whether every row of the matrix ``x`` is a standard basis vector."""
+    return bool(np.all((x == 0.0) | (x == 1.0)) and np.all(x.sum(axis=1) == 1.0))
+
+
 def _check_designs(x1, x2, inst):
     """Both designs as float matrices of width d; those of a one-hot instance are one-hot."""
     x1 = np.asarray(x1, dtype=float)
@@ -126,56 +130,19 @@ def _pinv_parts(sym: np.ndarray, cutoff_ratio: float):
     return eigvals, eigvecs, inv, keep
 
 
-class NormalMatrices:
-    """A1 = X1^T X1 and A2 = X2^T X2 of one pair of designs.
-
-    This is all the dense risk path needs of the designs, which are not
-    kept.  The eigendecompositions of A1 (for the first-phase fit) and of
-    A1 / n1 (for top-k memory, shared by every k) are made on first use,
-    so at most 4 d^2 floats are held.  Not safe for concurrent use.
-    """
-
-    __slots__ = ("a1", "a2", "n1", "n2", "_eig_a1", "_eig_cov1")
-
-    def __init__(self, a1: np.ndarray, a2: np.ndarray, n1: int, n2: int):
-        self.a1, self.a2, self.n1, self.n2 = a1, a2, n1, n2
-        self._eig_a1 = None
-        self._eig_cov1 = None
-
-    @classmethod
-    def of(cls, x1: np.ndarray, x2: np.ndarray) -> "NormalMatrices":
-        return cls(x1.T @ x1, x2.T @ x2, x1.shape[0], x2.shape[0])
-
-    def eigh_a1(self):
-        if self._eig_a1 is None:
-            self._eig_a1 = np.linalg.eigh(self.a1)
-        return self._eig_a1
-
-    def topk(self, k: int) -> Regularizer:
-        """The top-k memory of X1, same as ``topk_empirical(x1, k)``."""
-        d = self.a1.shape[0]
-        check_topk_size(k, self.n1, d)
-        if k == 0:
-            return zero_regularizer(d)
-        if self._eig_cov1 is None:
-            self._eig_cov1 = np.linalg.eigh(self.a1 / self.n1)
-        return topk_from_eigh(*self._eig_cov1, k)
-
-
-def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting):
-    d = inst.d
-    n_big = max(normal.n1, normal.n2)
-    cutoff = _eigen_cutoff_ratio(n_big, d)
+def _sequential_risk(rep: Replication, reg: Regularizer, weighting):
+    inst, d = rep.inst, rep.inst.d
+    cutoff = _eigen_cutoff_ratio(max(rep.n, rep.n2), d)
     m = weight_vector(inst, weighting)
 
-    eigvals1, v1 = normal.eigh_a1()
+    eigvals1, v1 = rep.eigh_a1()
     inv1, keep1 = _split_spectrum(eigvals1, cutoff)
     # Null-space projection of the first task: symmetric, exact idempotent.
     v1_null = v1[:, ~keep1]
     p1w = v1_null @ (v1_null.T @ inst.w_star)
 
-    a2 = normal.a2
-    s = a2 + normal.n2 * reg.matrix()
+    a2 = rep.normal()[1]
+    s = a2 + rep.n2 * reg.matrix()
     _, vs, invs, _ = _pinv_parts(s, cutoff)
     splus = (vs * invs) @ vs.T
     splus_a2 = splus @ a2
@@ -194,12 +161,12 @@ def _sequential_risk(normal: NormalMatrices, inst, reg: Regularizer, weighting):
     return RiskDecomposition(bias=bias, variance=variance)
 
 
-def _joint_risk(normal: NormalMatrices, inst, weighting):
-    d = inst.d
-    n = normal.n1 + normal.n2
-    cutoff = _eigen_cutoff_ratio(n, d)
+def _joint_risk(rep: Replication, weighting):
+    inst = rep.inst
+    cutoff = _eigen_cutoff_ratio(rep.n + rep.n2, inst.d)
     m = weight_vector(inst, weighting)
-    _, v, inv, keep = _pinv_parts(normal.a1 + normal.a2, cutoff)
+    a1, a2 = rep.normal()
+    _, v, inv, keep = _pinv_parts(a1 + a2, cutoff)
     v_null = v[:, ~keep]
     pw = v_null @ (v_null.T @ inst.w_star)
     bias = float(m @ (pw * pw))
@@ -352,12 +319,14 @@ class Replication:
     """One pair of designs as the risk paths read it.
 
     Its sufficient statistics are caches, each filled on first use: the
-    designs (X1, X2), the count pair (c1, c2) of a one-hot pair, and the
-    ``NormalMatrices``.  A Monte Carlo replication fills them from its
-    (seed, rep) streams.  A dense Gaussian one keeps only its normal
-    matrices.  A one-hot one keeps only its counts, drawn without the
-    n x d designs; its normal matrices are exactly diag(c1) and diag(c2),
-    since a one-hot row adds 1 to one diagonal entry.  A replication of
+    designs (X1, X2), the count pair (c1, c2) of a one-hot pair, the
+    normal matrices (A1, A2) = (X1^T X1, X2^T X2) and eigh(A1).  A Monte
+    Carlo replication fills them from its (seed, rep) streams.  A dense
+    Gaussian one keeps only A1, A2 and eigh(A1), 3 d^2 floats: the
+    first-phase fit and every top-k memory read the same eigenpairs.  A
+    one-hot one keeps only its counts, drawn without the n x d designs;
+    its normal matrices are exactly diag(c1) and diag(c2), since a one-hot
+    row adds 1 to one diagonal entry.  A replication of
     caller-held designs or counts (``of_designs``, ``of_counts``) starts
     with that cache filled, and has the memory seed of (seed 0, rep 0).
 
@@ -368,12 +337,13 @@ class Replication:
     the normal matrices otherwise.  Not safe for concurrent use.
     """
 
-    __slots__ = ("inst", "n", "n2", "seed", "rep", "_drawn", "_designs", "_counts", "_normal")
+    __slots__ = ("inst", "n", "n2", "seed", "rep", "_drawn", "_designs", "_counts", "_normal",
+                 "_eig_a1")
 
     def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
         self.inst, self.n, self.n2, self.seed, self.rep = inst, n, n, seed, rep
         self._drawn = True
-        self._designs = self._counts = self._normal = None
+        self._designs = self._counts = self._normal = self._eig_a1 = None
 
     @classmethod
     def of_designs(cls, inst: ProblemInstance, x1: np.ndarray, x2: np.ndarray) -> "Replication":
@@ -449,23 +419,30 @@ class Replication:
                 )
         return self._counts
 
-    def normal(self) -> NormalMatrices:
+    def normal(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A1, A2) = (X1^T X1, X2^T X2); (diag(c1), diag(c2)) of a one-hot pair."""
         if self._normal is None:
             if self._designs is not None:
-                self._normal = NormalMatrices.of(*self._designs)
+                self._normal = tuple(x.T @ x for x in self._designs)
             elif self.one_hot:
-                c1, c2 = self.counts()
-                self._normal = NormalMatrices(np.diag(c1), np.diag(c2), self.n, self.n2)
+                self._normal = tuple(np.diag(c) for c in self.counts())
             else:
                 x1 = self.x1
                 a1 = x1.T @ x1
                 del x1
                 x2 = self.x2
-                self._normal = NormalMatrices(a1, x2.T @ x2, self.n, self.n2)
+                self._normal = (a1, x2.T @ x2)
         return self._normal
 
+    def eigh_a1(self):
+        """eigh(A1), shared by the first-phase fit and every top-k memory."""
+        if self._eig_a1 is None:
+            self._eig_a1 = np.linalg.eigh(self.normal()[0])
+        return self._eig_a1
+
     def topk(self, k: int) -> Regularizer:
-        return self.normal().topk(k)
+        """The top-k memory of X1, same as ``topk_empirical(x1, k)``."""
+        return topk_from_eigh(self.eigh_a1, self.n, self.inst.d, k)
 
     def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
         reg = _as_regularizer(memory, self.inst.d)
@@ -474,14 +451,14 @@ class Replication:
             return _conditional_sequential_onehot(*self.counts(), self.n2, self.inst, gamma, weighting)
         if _wide(self.inst) and reg.is_zero:
             return _conditional_sequential_gram(*self.designs(), self.inst, weighting)
-        return _sequential_risk(self.normal(), self.inst, reg, weighting)
+        return _sequential_risk(self, reg, weighting)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
         if self.one_hot:
             return _conditional_joint_onehot(*self.counts(), self.inst, weighting)
         if _wide(self.inst):
             return _conditional_joint_gram(*self.designs(), self.inst, weighting)
-        return _joint_risk(self.normal(), self.inst, weighting)
+        return _joint_risk(self, weighting)
 
 
 def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
@@ -644,7 +621,7 @@ class TopK:
         return f"topk:{self.k}"
 
     def memory(self, rep) -> Regularizer:
-        return rep.topk(self.k)  # shared eigenpairs on the dense path
+        return rep.topk(self.k)  # the eigenpairs of the first-phase fit
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         check_topk_size(self.k, n, inst.d)
@@ -697,7 +674,7 @@ def check_algorithm(algorithm, inst: ProblemInstance, n: int) -> None:
 
 # -- Monte Carlo over design replications ---------------------------------------
 
-# Bytes of normal matrices a shared set of replications keeps between rows.
+# Bytes of normal matrices and eigenbases a shared set of replications keeps between rows.
 SHARED_BYTES_MAX = 512 * 2**20
 
 
@@ -707,9 +684,9 @@ class Replications:
     Rows of a sweep that share the cell share their seed streams, and
     through one ``Replications`` they share the draws too: on the dense
     path a replication is drawn inside the first row's estimate and its
-    normal matrices serve every later row.  The first replications are
+    A1, A2 and eigh(A1) serve every later row.  The first replications are
     kept, each made on first use, so that at most ``memory_bytes`` are
-    held (4 d^2 floats per replication); the rest, and every replication
+    held (3 d^2 floats per replication); the rest, and every replication
     off the dense path, are drawn again for each row.
     """
 
@@ -719,7 +696,7 @@ class Replications:
             raise DimensionMismatch(f"need seed >= 0, got {seed}")
         self.inst, self.n, self.reps, self.seed = inst, n, reps, seed
         dense = inst.design is Design.GAUSSIAN and not _wide(inst)
-        self._capacity = min(reps, memory_bytes // (4 * 8 * inst.d * inst.d)) if dense else 0
+        self._capacity = min(reps, memory_bytes // (3 * 8 * inst.d * inst.d)) if dense else 0
         self._kept: dict[int, Replication] = {}
 
     def __getitem__(self, rep: int) -> Replication:

@@ -505,16 +505,14 @@ class TestFailFast:
 
 class TestVerify:
     def test_reductions_suite_passes(self):
-        cfg = config_from_fields({"reps": "2"})
-        report, code = run_verify(cfg, suite="reductions")
+        report, code = run_verify(suite="reductions")
         assert code == 0
         assert "PASS reductions/l2rcl-closed-form" in report
         assert report.strip().endswith("0 failing check(s)")
 
     def test_unknown_suite(self):
-        cfg = config_from_fields({"reps": "2"})
         with pytest.raises(ConfigParse):
-            run_verify(cfg, suite="nope")
+            run_verify(suite="nope")
 
 
 class TestMain:
@@ -528,6 +526,12 @@ class TestMain:
         assert main(["sweep-n", "--config", path]) == 0
         assert out.exists()
         assert str(out) in capsys.readouterr().out
+
+    def test_verify_rejects_a_suites_key(self, tmp_path, capsys):
+        # --suite is the one way to choose suites; the config is still checked
+        path = write_config(tmp_path / "c.cfg", "suites = reductions\n")
+        assert main(["verify", "--config", path, "--suite", "reductions"]) == 2
+        assert "unknown key 'suites'" in capsys.readouterr().err
 
     def test_verify_end_to_end(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.cfg", "reps = 2\n")

@@ -27,7 +27,7 @@ from grclab.risk import (
     conditional_risk_joint,
     monte_carlo_expected_excess,
 )
-from grclab.regularizers import Regularizer, onehot_frequency, sketch_regularizer, topk_empirical
+from grclab.regularizers import Regularizer, sketch_regularizer, topk_empirical
 from grclab.sampler import REGULARIZER_STREAM, stream_seed
 from grclab.theory import joint_theory_one_hot
 
@@ -187,7 +187,7 @@ def design_reference(inst, n, algorithm, weighting):
                 elif isinstance(algorithm.builder, TopK):
                     sigma = topk_empirical(x1, algorithm.builder.k)
                 elif isinstance(algorithm.builder, Frequency):
-                    sigma = onehot_frequency(x1)
+                    sigma = Regularizer(form="diagonal", values=x1.sum(axis=0) / n)
                 else:
                     sigma = algorithm.builder(x1, memory_seed)
                 dec = conditional_risk(x1, x2, inst, sigma, weighting)
@@ -224,7 +224,6 @@ class TestCountPairs:
 
         monkeypatch.setattr("grclab.risk._rows_of_counts", forbidden)
         monkeypatch.setattr("grclab.risk._is_one_hot_rows", forbidden)
-        monkeypatch.setattr("grclab.regularizers._is_one_hot_rows", forbidden)
         for inst, n in random_small_instances():
             for algorithm in enumeration_algorithms(inst.d):
                 for weighting in RiskWeighting:

@@ -3,21 +3,29 @@ import pytest
 
 from grclab.errors import KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl
-from grclab.model import make_spectrum
+from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
 from grclab.regularizers import (
     Regularizer,
     corollary3_regularizer,
-    onehot_frequency,
     sketch_regularizer,
     topk_empirical,
     topk_spectrum_regularizer,
     zero_regularizer,
 )
-from grclab.sampler import sample_one_hot_design
+from grclab.risk import GRCL, Frequency, Replication, check_algorithm
+from grclab.sampler import sample_one_hot_counts
 
 
 def one_hot_rows(counts):
     return np.repeat(np.eye(len(counts)), counts, axis=0)
+
+
+def frequency_memory(counts):
+    """The ``grcl:freq`` memory of task-1 data with these atom counts."""
+    c = np.asarray(counts, dtype=float)
+    s = make_spectrum(np.full(c.size, 1.0 / c.size), one_hot=True)
+    inst = ProblemInstance(w_star=np.zeros(c.size), sigma2=1.0, g=s, h=s, design=Design.ONE_HOT)
+    return Frequency().memory(Replication.of_counts(inst, c, c))
 
 
 class TestTopkEmpirical:
@@ -59,18 +67,18 @@ class TestTopkEmpirical:
 
 class TestOnehotFrequency:
     def test_frequency_counting(self):
-        reg = onehot_frequency(one_hot_rows([2, 1, 0]))
+        reg = frequency_memory([2, 1, 0])
         np.testing.assert_allclose(reg.values, [2 / 3, 1 / 3, 0.0])
         assert reg.memory_size == 2
 
     def test_single_observed_atom(self):
-        reg = onehot_frequency(one_hot_rows([5, 0]))
+        reg = frequency_memory([5, 0])
         np.testing.assert_allclose(reg.values, [1.0, 0.0])
         assert reg.memory_size == 1
 
     def test_rejects_dense_rows(self):
         with pytest.raises(NotOneHotDesign):
-            onehot_frequency(np.full((3, 2), 0.5))
+            check_algorithm(GRCL(builder=Frequency()), make_problem_pk(1, 2, Design.GAUSSIAN), 3)
 
     def test_capture_probability_above_threshold(self):
         # coordinates with mu > 10/n survive with probability 1 - (1-mu)^n
@@ -80,8 +88,7 @@ class TestOnehotFrequency:
         assert prob_capture.min() >= 0.999
         s = make_spectrum(mu, one_hot=True)
         for seed in range(200):
-            x1 = sample_one_hot_design(s, n, seed)
-            assert onehot_frequency(x1).values[0] > 0.0
+            assert frequency_memory(sample_one_hot_counts(s, n, seed)).values[0] > 0.0
 
     def test_unbiased_spectrum_estimator(self):
         # averaged over 1e4 draws, gamma-hat within 3 standard errors of mu
@@ -90,7 +97,7 @@ class TestOnehotFrequency:
         s = make_spectrum(mu, one_hot=True)
         acc = np.zeros(3)
         for seed in range(draws):
-            acc += onehot_frequency(sample_one_hot_design(s, n, seed)).values
+            acc += frequency_memory(sample_one_hot_counts(s, n, seed)).values
         mean = acc / draws
         stderr = np.sqrt(mu * (1 - mu) / n / draws)
         np.testing.assert_array_less(np.abs(mean - mu), 3 * stderr)
@@ -151,7 +158,7 @@ class TestRegularizerType:
             topk_empirical(x1, 3),
             sketch_regularizer(x1, 4, 0),
             corollary3_regularizer(make_spectrum(rng.dirichlet(np.ones(5)), one_hot=True), 7),
-            onehot_frequency(one_hot_rows([3, 4, 0, 2, 1])),
+            frequency_memory([3, 4, 0, 2, 1]),
         ]
         for reg in regs:
             eig = np.linalg.eigvalsh(reg.matrix())

@@ -15,7 +15,6 @@ from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_oc
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
 from grclab.regularizers import (
     Regularizer,
-    onehot_frequency,
     sketch_regularizer,
     topk_empirical,
     zero_regularizer,
@@ -26,7 +25,6 @@ from grclab.risk import (
     Joint,
     L2RCL,
     OCL,
-    NormalMatrices,
     Replication,
     Replications,
     RiskWeighting,
@@ -203,14 +201,14 @@ class TestConditionalRisk:
         factor = np.zeros((nz.size, d))
         factor[np.arange(nz.size), nz] = np.sqrt(gamma[nz])
         low = Regularizer(form="lowrank", factor=factor)  # forces dense path
-        normal = NormalMatrices.of(x1, x2)
+        pair = Replication.of_designs(inst, x1, x2)
         for weighting in RiskWeighting:
             fast = conditional_risk(x1, x2, inst, diag, weighting)
             dense = conditional_risk(x1, x2, inst, low, weighting)
             assert fast.bias == pytest.approx(dense.bias, abs=1e-10)
             assert fast.variance == pytest.approx(dense.variance, abs=1e-10)
             fast = conditional_risk_joint(x1, x2, inst, weighting)
-            dense = _joint_risk(normal, inst, weighting)
+            dense = _joint_risk(pair, weighting)
             assert fast.bias == pytest.approx(dense.bias, abs=1e-10)
             assert fast.variance == pytest.approx(dense.variance, abs=1e-10)
 
@@ -454,11 +452,11 @@ class TestDenseFormulas:
     def test_shared_topk_is_topk_empirical(self):
         rng = np.random.default_rng(31)
         x1 = rng.standard_normal((15, 6))
-        normal = NormalMatrices.of(x1, rng.standard_normal((15, 6)))
+        pair = Replication.of_designs(gaussian_instance(rng, 6), x1, rng.standard_normal((15, 6)))
         for k in range(7):
-            np.testing.assert_array_equal(normal.topk(k).matrix(), topk_empirical(x1, k).matrix())
+            np.testing.assert_array_equal(pair.topk(k).matrix(), topk_empirical(x1, k).matrix())
         with pytest.raises(KTooLarge):
-            normal.topk(7)
+            pair.topk(7)
 
 
 def shared_algorithms(d):
@@ -522,11 +520,33 @@ class TestSharedReplications:
         monte_carlo_expected_excess(inst, GRCL(builder=Sketch(2)), 12, 3, 5, replications=shared)
         assert len(calls) == 3 * 3
 
+    def test_kept_replication_decomposes_a1_once(self, monkeypatch):
+        # the first-phase fit and every top-k memory read one eigh(A1);
+        # each sequential row adds only the eigh of its S = A2 + n Sigma
+        args = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            args.append(a)
+            return eigh(a)
+
+        inst = make_problem_pk(3, 8, Design.GAUSSIAN)
+        reps = 2
+        shared = Replications(inst, 12, reps, seed=5)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rows = [GRCL(builder=TopK(k)) for k in (1, 2, 3)] + [OCL()]
+        for algorithm in rows:
+            monte_carlo_expected_excess(inst, algorithm, 12, reps, 5, replications=shared)
+        assert len(args) == reps * (1 + len(rows))
+        for rep in range(reps):
+            a1 = shared[rep].normal()[0]
+            assert sum(a is a1 for a in args) == 1
+
     def test_memory_budget_keeps_results(self):
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
         algorithm = GRCL(builder=TopK(2))
         kept = Replications(inst, 12, 4, seed=5)
-        partial = Replications(inst, 12, 4, seed=5, memory_bytes=2 * 4 * 8 * 8 * 8)
+        partial = Replications(inst, 12, 4, seed=5, memory_bytes=2 * 3 * 8 * 8 * 8)
         a, _ = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=kept)
         b, _ = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=partial)
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
@@ -556,7 +576,7 @@ class TestSharedReplications:
 
     def test_kept_replications_are_made_on_first_use(self):
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
-        shared = Replications(inst, 12, 4, seed=5, memory_bytes=3 * 4 * 8 * 8 * 8)
+        shared = Replications(inst, 12, 4, seed=5, memory_bytes=3 * 3 * 8 * 8 * 8)
         assert shared._kept == {}
         for algorithm in (OCL(), GRCL(builder=TopK(2)), Joint()):
             est, dec = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=shared)
@@ -613,7 +633,7 @@ def design_reference(inst, algorithm, n, reps, seed, weighting):
         elif isinstance(algorithm.builder, TopK):
             sigma = topk_empirical(x1, algorithm.builder.k)
         elif isinstance(algorithm.builder, Frequency):
-            sigma = onehot_frequency(x1)
+            sigma = Regularizer(form="diagonal", values=x1.sum(axis=0) / n)
         else:
             sigma = algorithm.builder(x1, memory_seed)
         decomps.append(conditional_risk(x1, x2, inst, sigma, weighting))
@@ -667,9 +687,9 @@ class TestOneHotCounts:
         seeds = [sampler.stream_seed(4, 1, tag) for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN)]
         assert c1.tobytes() == sample_one_hot_design(inst.g, 12, seeds[0]).sum(axis=0).tobytes()
         assert c2.tobytes() == sample_one_hot_design(inst.h, 12, seeds[1]).sum(axis=0).tobytes()
-        normal = replication.normal()
-        assert normal.a1.tobytes() == np.diag(c1).tobytes()
-        assert normal.a2.tobytes() == np.diag(c2).tobytes()
+        a1, a2 = replication.normal()
+        assert a1.tobytes() == np.diag(c1).tobytes()
+        assert a2.tobytes() == np.diag(c2).tobytes()
         assert replication.x1.sum(axis=0).tobytes() == c1.tobytes()
 
 
