@@ -15,7 +15,7 @@ from .model import (
     make_spectrum,
     one_hot_index_sets,
 )
-from .oracle import EnumerationBudget, binomial_mixed_moment, binomial_pmf, exact_one_hot_expected_excess
+from .oracle import binomial_mixed_moment, binomial_pmf, exact_one_hot_expected_excess
 from .regularizers import (
     Regularizer,
     corollary3_regularizer,

@@ -26,8 +26,9 @@ from .model import (
     instance_from_text,
     make_problem_pk,
     make_spectrum,
+    read_key_values,
 )
-from .oracle import EnumerationBudget, binomial_mixed_moment, binomial_pmf, exact_one_hot_expected_excess
+from .oracle import binomial_mixed_moment, binomial_pmf, exact_one_hot_expected_excess
 from .regularizers import Regularizer, zero_regularizer
 from .risk import (
     GRCL,
@@ -111,31 +112,21 @@ _KNOWN_KEYS = {
 }
 
 
-def _parse_int_list(value: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in value.split(",") if v.strip())
+def _int_list(fields: dict, key: str, default) -> tuple[int, ...]:
+    """The comma-separated integers under ``key``, or ``default`` when it is absent."""
+    if key not in fields:
+        return tuple(default)
+    return tuple(int(v) for v in fields[key].split(",") if v.strip())
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse a ``key = value`` config file into an :class:`ExperimentConfig`."""
-    fields = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ConfigParse(f"{path}:{lineno}: expected key = value")
-                key = key.strip()
-                if key not in _KNOWN_KEYS:
-                    raise ConfigParse(f"{path}:{lineno}: unknown key {key!r}")
-                if key in fields:
-                    raise ConfigParse(f"{path}:{lineno}: key {key!r} given twice")
-                fields[key] = value.strip()
+            text = handle.read()
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-    return config_from_fields(fields)
+    return config_from_fields(read_key_values(text, path, _KNOWN_KEYS))
 
 
 def config_from_fields(fields: dict) -> ExperimentConfig:
@@ -160,21 +151,11 @@ def config_from_fields(fields: dict) -> ExperimentConfig:
             for tok in fields.get("algorithms", "ocl,joint,grcl:topk:5").split(",")
             if tok.strip()
         )
-        n_values = (
-            _parse_int_list(fields["n_values"])
-            if "n_values" in fields
-            else tuple(default_n_grid())
-        )
-        k_values = (
-            _parse_int_list(fields["k_values"])
-            if "k_values" in fields
-            else tuple(range(16))
-        )
         return ExperimentConfig(
             instance=inst,
             algorithms=algorithms,
-            n_values=n_values,
-            k_values=k_values,
+            n_values=_int_list(fields, "n_values", default_n_grid()),
+            k_values=_int_list(fields, "k_values", range(16)),
             n=int(fields.get("n", 5000)),
             reps=int(fields.get("reps", 20)),
             seed=int(fields.get("seed", 1)),
@@ -194,44 +175,20 @@ def _fmt(value: float) -> str:
 
 def _theory_columns(algorithm, inst: ProblemInstance, n: int) -> tuple[str, str]:
     """Matching closed-form surrogates, empty when no formula applies."""
-    if inst.design is not Design.ONE_HOT:
-        return "", ""
-    try:
-        report = algorithm.theory_one_hot(inst, n)
-    except GrclabError:
-        return "", ""
+    report = algorithm.theory_one_hot(inst, n) if inst.design is Design.ONE_HOT else None
     if report is None:
         return "", ""
     return _fmt(report.bias_surrogate), _fmt(report.variance_surrogate)
 
 
-def _sweep_row(algorithm, shared: Replications, column: str) -> str:
-    inst, n, reps = shared.inst, shared.n, shared.reps
-    estimate, decomp = monte_carlo_expected_excess(
-        inst, algorithm, n, reps, shared.seed, replications=shared
-    )
-    th_bias, th_var = _theory_columns(algorithm, inst, n)
-    cells = (
-        column,
-        str(n),
-        "".join(algorithm.label.split(":")[2:]),  # the k of grcl:<builder>:<k>
-        str(reps),
-        _fmt(estimate.mean),
-        _fmt(estimate.std_error),
-        _fmt(decomp.bias),
-        _fmt(decomp.variance),
-        th_bias,
-        th_var,
-    )
-    return ",".join(cells)
+def _run_cells(config: ExperimentConfig, cells: list) -> str:
+    """Write one CSV row per (algorithm, n, column) cell, in the order given.
 
-
-def _check_cells(config: ExperimentConfig, cells) -> None:
-    """Reject a sweep whose output path is a directory or lies in a missing one,
-    or that has an (algorithm, n) cell that cannot run.
-
-    Runs before the first draw, so a bad config costs no compute and
-    leaves no partial CSV.
+    Every cell is checked before the first draw, with ``GRCL_THREADS``
+    and the output path, so a bad config costs no compute and leaves no
+    partial CSV.  The cells of one n share one ``Replications``, made
+    when that n comes up and dropped after its cells, so one set of kept
+    replications is alive at a time.  The CSV is written once, at the end.
     """
     worker_count()
     directory = os.path.dirname(config.output_path) or "."
@@ -239,32 +196,39 @@ def _check_cells(config: ExperimentConfig, cells) -> None:
         raise ConfigParse(f"output directory {directory!r} does not exist")
     if os.path.isdir(config.output_path):
         raise ConfigParse(f"output {config.output_path!r} is a directory")
-    for algorithm, n in cells:
+    inst, reps, seed = config.instance, config.reps, config.seed
+    for algorithm, n, _ in cells:
         try:
-            check_algorithm(algorithm, config.instance, n)
+            check_algorithm(algorithm, inst, n)
         except GrclabError as exc:
             raise ConfigParse(f"{algorithm.label} at n={n}: {exc}") from exc
+    rows = [CSV_HEADER] + [""] * len(cells)
+    for n in dict.fromkeys(n for _, n, _ in cells):
+        shared = Replications(inst, n, reps, seed)
+        for row, (algorithm, cell_n, column) in enumerate(cells, 1):
+            if cell_n != n:
+                continue
+            estimate, decomp = monte_carlo_expected_excess(
+                inst, algorithm, n, reps, seed, replications=shared
+            )
+            k = "".join(algorithm.label.split(":")[2:])  # the k of grcl:<builder>:<k>
+            values = map(_fmt, (estimate.mean, estimate.std_error, decomp.bias, decomp.variance))
+            theory = _theory_columns(algorithm, inst, n)
+            rows[row] = ",".join([column, str(n), k, str(reps), *values, *theory])
+    with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(rows) + "\n")
+    return config.output_path
 
 
 def run_sweep_n(config: ExperimentConfig) -> str:
     """Excess risk of each configured algorithm across the sample-size grid.
 
-    Loops over n first so that every algorithm at one n shares the
-    replications drawn for it; rows are written algorithm by algorithm.
+    Rows are written algorithm by algorithm; every algorithm at one n
+    shares the replications drawn for it.
     """
     if not config.n_values:
         raise ConfigParse("sweep-n needs a nonempty n_values list")
-    _check_cells(config, [(a, n) for a in config.algorithms for n in config.n_values])
-    rows = {}
-    for j, n in enumerate(config.n_values):
-        shared = Replications(config.instance, n, config.reps, config.seed)
-        for i, algorithm in enumerate(config.algorithms):
-            rows[i, j] = _sweep_row(algorithm, shared, algorithm.label)
-    lines = [CSV_HEADER] + [
-        rows[i, j] for i in range(len(config.algorithms)) for j in range(len(config.n_values))
-    ]
-    _write_lines(config.output_path, lines)
-    return config.output_path
+    return _run_cells(config, [(a, n, a.label) for a in config.algorithms for n in config.n_values])
 
 
 def run_sweep_k(config: ExperimentConfig) -> str:
@@ -283,16 +247,7 @@ def run_sweep_k(config: ExperimentConfig) -> str:
     except GrclabError as exc:
         raise ConfigParse(f"sweep-k: {exc}") from exc
     algorithms += [OCL(), Joint()]
-    _check_cells(config, [(a, config.n) for a in algorithms])
-    shared = Replications(config.instance, config.n, config.reps, config.seed)
-    lines = [CSV_HEADER] + [_sweep_row(a, shared, a.name) for a in algorithms]
-    _write_lines(config.output_path, lines)
-    return config.output_path
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return _run_cells(config, [(a, config.n, a.name) for a in algorithms])
 
 
 # -- verification suites --------------------------------------------------------
@@ -433,7 +388,6 @@ def suite_oracle(instances: int = 10, reps: int = 10**4, seed: int = 7,
                  d: int = 2, n: int = 4) -> list[Check]:
     """Monte Carlo against exhaustive enumeration, all four algorithms."""
     rng = np.random.default_rng(seed)
-    budget = EnumerationBudget()
     checks = []
     for idx in range(instances):
         mu = rng.dirichlet(np.ones(d) * 2.0)
@@ -442,7 +396,7 @@ def suite_oracle(instances: int = 10, reps: int = 10**4, seed: int = 7,
         w /= np.linalg.norm(w)
         inst = _one_hot_instance(mu, lam, w)
         for algorithm in map(parse_algorithm_spec, ("ocl", "l2rcl:0.3", "grcl:freq", "joint")):
-            exact = exact_one_hot_expected_excess(inst, n, algorithm, budget)
+            exact = exact_one_hot_expected_excess(inst, n, algorithm)
             estimate, _ = monte_carlo_expected_excess(
                 inst, algorithm, n, reps, seed=int(rng.integers(2**31))
             )
@@ -599,13 +553,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.command == "sweep-n":
-            path = run_sweep_n(config)
-            print(path)
-            return 0
-        if args.command == "sweep-k":
-            path = run_sweep_k(config)
-            print(path)
+        if args.command != "verify":
+            print((run_sweep_n if args.command == "sweep-n" else run_sweep_k)(config))
             return 0
         report, code = run_verify(args.suite)
         print(report, end="")

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigParse,
     DimensionMismatch,
     InfeasibleEffectiveRank,
     InvalidK,
@@ -260,33 +261,56 @@ def instance_to_text(inst: ProblemInstance) -> str:
 _INSTANCE_KEYS = ("d", "sigma2", "g", "h", "w_star", "design")
 
 
-def instance_from_text(text: str) -> ProblemInstance:
-    """Parse the key=value exchange format back into an instance."""
+def read_key_values(text: str, source: str, keys) -> dict[str, str]:
+    """The ``key = value`` lines of ``text`` as a dict, each key one of ``keys``.
+
+    ``#`` starts a comment anywhere on a line, so no value can hold one;
+    blank lines are skipped.  A line without ``=``, an unknown key or a
+    key given twice raises :class:`ConfigParse` as
+    ``<source>:<line>: <problem>``.
+    """
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise DimensionMismatch(f"bad instance text, line {lineno}: expected key=value")
-        if key not in _INSTANCE_KEYS:
-            raise DimensionMismatch(f"bad instance text, line {lineno}: unknown key {key!r}")
-        if key in fields:
-            raise DimensionMismatch(f"bad instance text, line {lineno}: key {key!r} given twice")
-        fields[key] = value.strip()
+            problem = "expected key=value"
+        elif key not in keys:
+            problem = f"unknown key {key!r}"
+        elif key in fields:
+            problem = f"key {key!r} given twice"
+        else:
+            fields[key] = value
+            continue
+        raise ConfigParse(f"{source}:{lineno}: {problem}")
+    return fields
+
+
+def instance_from_text(text: str) -> ProblemInstance:
+    """Parse the key=value exchange format back into an instance.
+
+    Text that does not parse raises :class:`ConfigParse`, with the line
+    where there is one (``instance:<line>: <problem>``).  Values that
+    parse are then checked by :func:`make_spectrum` and
+    :class:`ProblemInstance`, which raise their own errors.
+    """
+    fields = read_key_values(text, "instance", _INSTANCE_KEYS)
     try:
         d = int(fields["d"])
         sigma2 = float(fields["sigma2"])
         design = Design(fields["design"])
-        g = np.array([float(v) for v in fields["g"].split(",")])
-        h = np.array([float(v) for v in fields["h"].split(",")])
-        w_star = np.array([float(v) for v in fields["w_star"].split(",")])
-    except (KeyError, ValueError) as exc:
-        raise DimensionMismatch(f"bad instance text: {exc}") from exc
+        g, h, w_star = (np.array([float(v) for v in fields[key].split(",")])
+                        for key in ("g", "h", "w_star"))
+    except KeyError as exc:
+        raise ConfigParse(f"instance: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigParse(f"instance: {exc}") from exc
     if not (len(g) == len(h) == len(w_star) == d):
-        raise DimensionMismatch("instance text lengths disagree with d")
+        raise ConfigParse(
+            f"instance: g, h and w_star have {len(g)}, {len(h)}, {len(w_star)} entries, not d={d}"
+        )
     one_hot = design is Design.ONE_HOT
     return ProblemInstance(
         w_star=w_star,

@@ -10,7 +10,6 @@ summed exactly in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +17,8 @@ from .errors import BudgetExceeded, DimensionMismatch, GrclabError, InvalidProba
 from .model import Design, ProblemInstance, RiskDecomposition
 from .risk import Replication, RiskWeighting, check_algorithm
 
-MAX_STATES_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on the number of dataset pairs the oracle may visit."""
-
-    max_states: int = 10**6
-
-    def __post_init__(self):
-        if not (1 <= self.max_states <= MAX_STATES_CAP):
-            raise BudgetExceeded(f"max_states must be in [1, {MAX_STATES_CAP}]")
+# Most dataset pairs one enumeration may visit.
+MAX_STATES = 10**6
 
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -120,7 +109,6 @@ def exact_one_hot_expected_excess(
     inst: ProblemInstance,
     n: int,
     algorithm,
-    budget: EnumerationBudget = EnumerationBudget(),
     weighting: RiskWeighting = RiskWeighting.JOINT,
 ) -> RiskDecomposition:
     """Exact design-expectation of the conditional excess risk.
@@ -139,8 +127,8 @@ def exact_one_hot_expected_excess(
     states1 = _multinomial_states(n, inst.g.values)
     states2 = _multinomial_states(n, inst.h.values)
     n_pairs = len(states1) * len(states2)
-    if n_pairs > budget.max_states:
-        raise BudgetExceeded(f"{n_pairs} dataset pairs exceed budget {budget.max_states}")
+    if n_pairs > MAX_STATES:
+        raise BudgetExceeded(f"{n_pairs} dataset pairs exceed the budget of {MAX_STATES}")
 
     bias_terms, var_terms, prob_terms = [], [], []
     for c1, p1 in states1:

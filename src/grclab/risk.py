@@ -37,7 +37,8 @@ from .regularizers import (
 from .theory import BoundReport, grcl_theory_one_hot, joint_theory_one_hot
 
 
-# Gaussian instances wider than this take the n x n Gram path.
+# Gaussian instances wider than this take the n x n Gram path, and no
+# replication wider than this builds its d x d normal matrices.
 NORMAL_PATH_MAX_D = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -420,8 +421,17 @@ class Replication:
         return self._counts
 
     def normal(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A1, A2) = (X1^T X1, X2^T X2); (diag(c1), diag(c2)) of a one-hot pair."""
+        """(A1, A2) = (X1^T X1, X2^T X2); (diag(c1), diag(c2)) of a one-hot pair.
+
+        Refused above ``NORMAL_PATH_MAX_D``, before anything is drawn: two
+        d x d matrices there take gigabytes (4.6 GB each at d = 24000).
+        """
         if self._normal is None:
+            if self.inst.d > NORMAL_PATH_MAX_D:
+                raise DimensionMismatch(
+                    f"d={self.inst.d} is above {NORMAL_PATH_MAX_D}, where this memory would need "
+                    "d x d normal matrices; ocl, joint, grcl:topk:0 and diagonal one-hot memories run there"
+                )
             if self._designs is not None:
                 self._normal = tuple(x.T @ x for x in self._designs)
             elif self.one_hot:
@@ -471,8 +481,9 @@ def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
     one.  The path is that of ``Replication.sequential_risk``: one-hot
     instances with diagonal Sigma take an exact O(d) coordinate path (the
     dense path agrees with it to rounding), and Sigma = 0 above
-    ``NORMAL_PATH_MAX_D`` takes the n x n Gram path.  The designs are
-    never modified.
+    ``NORMAL_PATH_MAX_D`` takes the n x n Gram path; there a Sigma that
+    needs the normal matrices raises ``DimensionMismatch``.  The designs
+    are never modified.
 
     Parameters
     ----------

@@ -65,6 +65,11 @@ class TestConfig:
         with pytest.raises(ConfigParse):
             load_config(path)
 
+    def test_problems_name_file_and_line(self, tmp_path):
+        path = write_config(tmp_path / "c.cfg", "# header\nreps = 2   # two\n\nreps = 3\n")
+        with pytest.raises(ConfigParse, match=f"^{path}:4: key 'reps' given twice$"):
+            load_config(path)
+
     def test_missing_file(self):
         with pytest.raises(ConfigParse):
             load_config("/nonexistent/config.cfg")
@@ -383,6 +388,36 @@ class TestWidePath:
     def test_sweep_n_thread_invariance(self, tmp_path):
         assert_thread_invariant(tmp_path, WIDE_SWEEP_N, run_sweep_n)
 
+    @pytest.mark.parametrize("design, algorithm", [
+        ("gaussian", "l2rcl:0.1"),
+        ("gaussian", "grcl:topk:1"),
+        ("gaussian", "grcl:sketch:2"),
+        ("one_hot", "grcl:topk:1"),
+    ])
+    def test_d_by_d_memories_exit_2(self, design, algorithm, tmp_path, capsys):
+        out = tmp_path / "n.csv"
+        path = write_config(tmp_path / "c.cfg", f"pk_k = 3\npk_d = 4100\ndesign = {design}\n"
+                                                f"n_values = 5\nalgorithms = {algorithm}\nreps = 2\n"
+                                                f"output = {out}\n")
+        assert main(["sweep-n", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: DimensionMismatch: d=4100 is above 4096")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("design, algorithms", [
+        ("gaussian", "ocl, joint, grcl:topk:0"),
+        ("one_hot", "ocl, joint, grcl:topk:0, l2rcl:0.1, grcl:freq"),
+    ])
+    def test_memories_without_d_by_d_matrices_run(self, design, algorithms, tmp_path):
+        out = tmp_path / "n.csv"
+        path = write_config(tmp_path / "c.cfg", f"pk_k = 3\npk_d = 4100\ndesign = {design}\n"
+                                                f"n_values = 5\nalgorithms = {algorithms}\nreps = 2\n"
+                                                f"output = {out}\n")
+        assert main(["sweep-n", "--config", path]) == 0
+        assert len(out.read_text().splitlines()) == 1 + len(algorithms.split(","))
+
 
 def instance_line(tmp_path, sigma2, repeat=""):
     """An ``instance =`` config line for P(3) at d=8 with noise level ``sigma2``.
@@ -501,6 +536,21 @@ class TestFailFast:
         path = write_config(tmp_path / "c.cfg", "reps = 2\n")
         assert main(["sweep-n", "--config", path]) == 2
         assert capsys.readouterr().err == "error: NotPSD: bad matrix\n"
+
+    def test_surrogate_errors_exit_2(self, tmp_path, capsys, monkeypatch):
+        from grclab.errors import NotDiagonal
+        from grclab.risk import Joint
+
+        def broken(self, inst, n):
+            raise NotDiagonal("broken surrogate")
+
+        monkeypatch.setattr(Joint, "theory_one_hot", broken)
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path / "c.cfg", f"pk_k = 3\npk_d = 8\ndesign = one_hot\nn_values = 4\n"
+                                                f"algorithms = ocl, joint\nreps = 2\noutput = {out}\n")
+        assert main(["sweep-n", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: NotDiagonal: broken surrogate\n"
+        assert not out.exists()
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grclab.errors import (
+    ConfigParse,
     DimensionMismatch,
     InfeasibleEffectiveRank,
     InvalidK,
@@ -23,6 +24,7 @@ from grclab.model import (
     make_problem_pk,
     make_spectrum,
     one_hot_index_sets,
+    read_key_values,
 )
 
 
@@ -231,8 +233,23 @@ class TestSerialization:
         assert keys == ["d", "sigma2", "g", "h", "w_star", "design"]
 
     def test_bad_text(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigParse, match="have 1, 1, 1 entries, not d=3"):
             instance_from_text("d=3\nsigma2=1\ng=1\nh=1\nw_star=1\ndesign=gaussian")
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("d=2\n", "", "missing key 'd'"),
+        ("sigma2=1.0", "sigma2=one", "could not convert string to float: 'one'"),
+        ("design=gaussian", "design=dense", "'dense' is not a valid Design"),
+    ])
+    def test_missing_keys_and_bad_values(self, old, new, problem):
+        text = instance_to_text(make_problem_pk(1, 2, Design.GAUSSIAN))
+        with pytest.raises(ConfigParse, match=f"^instance: {problem}"):
+            instance_from_text(text.replace(old, new))
+
+    def test_value_checks_keep_their_errors(self):
+        text = instance_to_text(make_problem_pk(1, 2, Design.GAUSSIAN))
+        with pytest.raises(NegativeEigenvalue):
+            instance_from_text(text.replace("sigma2=1.0", "sigma2=-1.0"))
 
     @pytest.mark.parametrize("extra, problem", [
         ("sigma2=2.0", "key 'sigma2' given twice"),
@@ -241,8 +258,35 @@ class TestSerialization:
     ])
     def test_rejects_duplicate_unknown_and_malformed_lines(self, extra, problem):
         text = instance_to_text(make_problem_pk(1, 2, Design.GAUSSIAN))
-        with pytest.raises(DimensionMismatch, match=f"line 7: {problem}"):
+        with pytest.raises(ConfigParse, match=f"^instance:7: {problem}$"):
             instance_from_text(text + extra + "\n")
+
+    def test_comments_anywhere_on_a_line(self):
+        inst = make_problem_pk(3, 6, Design.ONE_HOT)
+        commented = "# P(3), one-hot\n\n" + instance_to_text(inst).replace(
+            "design=one_hot", "design = one_hot   # or gaussian"
+        )
+        back = instance_from_text(commented)
+        assert back.design is Design.ONE_HOT
+        assert instance_to_text(back) == instance_to_text(inst)
+
+
+class TestReadKeyValues:
+    def test_comments_blank_lines_and_spaces(self):
+        text = "# header\n\n  a = 1, 2   # trailing\nb=x#y\n   # indented comment\n"
+        assert read_key_values(text, "f.cfg", ("a", "b", "c")) == {"a": "1, 2", "b": "x"}
+
+    @pytest.mark.parametrize("text, problem", [
+        ("a = 1\n\nb\n", "f.cfg:3: expected key=value"),
+        ("a = 1\n# a = 2\nc = 3\n", "f.cfg:3: unknown key 'c'"),
+        ("a = 1  # one\nb = 2\na = 1\n", "f.cfg:3: key 'a' given twice"),
+        ("= 1\n", "f.cfg:1: unknown key ''"),
+        ("b = 1 # = 2\na # = 3\n", "f.cfg:2: expected key=value"),
+    ])
+    def test_problems_name_source_and_line(self, text, problem):
+        with pytest.raises(ConfigParse) as info:
+            read_key_values(text, "f.cfg", ("a", "b"))
+        assert str(info.value) == problem
 
 
 class TestProblemInstanceValidation:

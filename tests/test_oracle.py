@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from grclab.errors import BudgetExceeded, DimensionMismatch, InvalidProbability
 from grclab.model import Design, ProblemInstance, make_spectrum
 from grclab.oracle import (
-    EnumerationBudget,
+    MAX_STATES,
     _multinomial_states,
     binomial_mixed_moment,
     binomial_pmf,
@@ -137,13 +137,12 @@ class TestExactEnumeration:
             assert dec.bias == pytest.approx(closed, abs=1e-10)
 
     def test_budget_exceeded(self):
+        # C(20, 3) = 1,140 count vectors per task, so 1,299,600 pairs
         inst = small_instance([0.25] * 4, [0.25] * 4, np.ones(4))
-        with pytest.raises(BudgetExceeded):
-            exact_one_hot_expected_excess(inst, 10, OCL(), EnumerationBudget(max_states=100))
-
-    def test_budget_cap(self):
-        with pytest.raises(BudgetExceeded):
-            EnumerationBudget(max_states=10**8)
+        assert len(_multinomial_states(17, inst.g.values)) == 1140
+        assert MAX_STATES == 10**6
+        with pytest.raises(BudgetExceeded, match="1299600 dataset pairs"):
+            exact_one_hot_expected_excess(inst, 17, OCL())
 
     def test_monte_carlo_agrees_with_enumeration(self):
         rng = np.random.default_rng(1)

@@ -769,6 +769,19 @@ class TestWidePath:
         Replication(make_problem_pk(3, 4100, Design.ONE_HOT), 6, 1, 0).designs()
         assert threads == [threading.get_ident()] * 2
 
+    @pytest.mark.parametrize("design, algorithm", [
+        (Design.GAUSSIAN, L2RCL(0.1)), (Design.GAUSSIAN, GRCL(builder=TopK(1))), (Design.ONE_HOT, GRCL(builder=TopK(1))),
+    ])
+    def test_normal_matrices_refused_before_any_draw(self, monkeypatch, design, algorithm):
+        def no_draw(*args):
+            raise AssertionError("a design was drawn")
+
+        for name in ("sample_gaussian_design", "sample_one_hot_design", "sample_one_hot_counts"):
+            monkeypatch.setattr(sampler, name, no_draw)
+        replication = Replication(make_problem_pk(3, 4100, design), 5, 1, 0)
+        with pytest.raises(DimensionMismatch, match="^d=4100 is above 4096"):
+            algorithm.risk(replication, RiskWeighting.JOINT)
+
     @pytest.mark.parametrize("weighting", list(RiskWeighting))
     def test_joint_rows_match_svd_reference(self, weighting):
         inst = wide_instance()
