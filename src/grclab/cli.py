@@ -2,7 +2,7 @@
 
 Configuration is a flat text file of ``key = value`` lines (lists are
 comma-separated).  Sweeps write a fixed-schema CSV; given the same config
-and seed the output bytes are identical across runs and thread counts.
+and seed the output bytes are identical across runs.
 Exit codes: 0 success, 1 check failure, 2 config error.
 """
 
@@ -41,7 +41,6 @@ from .risk import (
     TopK,
     check_algorithm,
     monte_carlo_expected_excess,
-    worker_count,
 )
 
 CSV_HEADER = (
@@ -184,13 +183,12 @@ def _theory_columns(algorithm, inst: ProblemInstance, n: int) -> tuple[str, str]
 def _run_cells(config: ExperimentConfig, cells: list) -> str:
     """Write one CSV row per (algorithm, n, column) cell, in the order given.
 
-    Every cell is checked before the first draw, with ``GRCL_THREADS``
-    and the output path, so a bad config costs no compute and leaves no
-    partial CSV.  The cells of one n share one ``Replications``, made
-    when that n comes up and dropped after its cells, so one set of kept
-    replications is alive at a time.  The CSV is written once, at the end.
+    Every cell is checked before the first draw, with the output path,
+    so a bad config costs no compute and leaves no partial CSV.  The
+    cells of one n share one ``Replications``, made when that n comes up
+    and dropped after its cells, so one set of kept replications is alive
+    at a time.  The CSV is written once, at the end.
     """
-    worker_count()
     directory = os.path.dirname(config.output_path) or "."
     if not os.path.isdir(directory):
         raise ConfigParse(f"output directory {directory!r} does not exist")

@@ -84,24 +84,27 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(v + 1) for v in range(n + 1)])
 
 
+def _state_count(n: int, probs: np.ndarray) -> int:
+    """How many states ``_multinomial_states(n, probs)`` has, counted without making them."""
+    k = int(np.count_nonzero(probs))
+    return math.comb(n + k - 1, k - 1)
+
+
 def _multinomial_states(n: int, probs: np.ndarray):
-    """(counts, probability) pairs for a Multinomial(n, probs) draw."""
-    d = probs.shape[0]
+    """(counts, probability) pairs of a Multinomial(n, probs) draw; zero-mass atoms count 0."""
+    support = np.flatnonzero(probs)
+    log_probs = [math.log(p) for p in probs[support]]
     lf = _log_factorials(n)
+    subs = list(_compositions(n, support.size))
+    counts = np.zeros((len(subs), probs.shape[0]))
+    counts[:, support] = subs
     states = []
-    for counts in _compositions(n, d):
+    for row, sub in zip(counts, subs):
         logp = lf[n]
-        dead = False
-        for c, p in zip(counts, probs):
-            if c == 0:
-                continue
-            if p == 0.0:
-                dead = True
-                break
-            logp += c * math.log(p) - lf[c]
-        if dead:
-            continue
-        states.append((np.array(counts, dtype=float), math.exp(logp)))
+        for c, log_p in zip(sub, log_probs):
+            if c:
+                logp += c * log_p - lf[c]
+        states.append((row, math.exp(logp)))
     return states
 
 
@@ -124,11 +127,11 @@ def exact_one_hot_expected_excess(
     if inst.design is not Design.ONE_HOT:
         raise DimensionMismatch("exhaustive enumeration needs a one-hot instance")
     check_algorithm(algorithm, inst, n)
-    states1 = _multinomial_states(n, inst.g.values)
-    states2 = _multinomial_states(n, inst.h.values)
-    n_pairs = len(states1) * len(states2)
+    n_pairs = _state_count(n, inst.g.values) * _state_count(n, inst.h.values)
     if n_pairs > MAX_STATES:
         raise BudgetExceeded(f"{n_pairs} dataset pairs exceed the budget of {MAX_STATES}")
+    states1 = _multinomial_states(n, inst.g.values)
+    states2 = _multinomial_states(n, inst.h.values)
 
     bias_terms, var_terms, prob_terms = [], [], []
     for c1, p1 in states1:

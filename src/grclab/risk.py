@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, ClassVar
@@ -20,7 +19,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import sampler
-from .errors import ConfigParse, DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
+from .errors import DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
 from .estimators import Weights, _rank_tolerance
 from .model import Design, ProblemInstance, RiskDecomposition
 from .regularizers import (
@@ -189,6 +188,15 @@ def _joint_risk(rep: Replication, weighting):
 # 6% of three plain products at n = 1000 and 4000, for an 8 (n1 + n2) * 4096
 # byte scratch array (64 MB at n1 = n2 = 1000).
 _GRAM_BLOCK_COLUMNS = 4096
+
+
+def _check_normal_matrices(inst: ProblemInstance) -> None:
+    """Refuse d x d normal matrices above ``NORMAL_PATH_MAX_D``, where each takes gigabytes."""
+    if inst.d > NORMAL_PATH_MAX_D:
+        raise DimensionMismatch(
+            f"d={inst.d} is above {NORMAL_PATH_MAX_D}, where this memory would need "
+            "d x d normal matrices; ocl, joint, grcl:topk:0 and diagonal one-hot memories run there"
+        )
 
 
 def _wide(inst: ProblemInstance) -> bool:
@@ -427,11 +435,7 @@ class Replication:
         d x d matrices there take gigabytes (4.6 GB each at d = 24000).
         """
         if self._normal is None:
-            if self.inst.d > NORMAL_PATH_MAX_D:
-                raise DimensionMismatch(
-                    f"d={self.inst.d} is above {NORMAL_PATH_MAX_D}, where this memory would need "
-                    "d x d normal matrices; ocl, joint, grcl:topk:0 and diagonal one-hot memories run there"
-                )
+            _check_normal_matrices(self.inst)
             if self._designs is not None:
                 self._normal = tuple(x.T @ x for x in self._designs)
             elif self.one_hot:
@@ -558,6 +562,10 @@ class L2RCL(_Sequential):
     def label(self) -> str:
         return f"l2rcl:{self.gamma!r}"
 
+    def check(self, inst: ProblemInstance, n: int) -> None:
+        if inst.design is Design.GAUSSIAN:
+            _check_normal_matrices(inst)
+
     def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer:
         return Regularizer(form="diagonal", values=np.full(inst.d, self.gamma))
 
@@ -586,10 +594,16 @@ class GRCL(_Sequential):
         return f"grcl:{self.builder.label}" if hasattr(self.builder, "label") else "grcl"
 
     def check(self, inst: ProblemInstance, n: int) -> None:
-        if self.regularizer is not None and self.regularizer.d != inst.d:
-            raise DimensionMismatch(f"Sigma has d={self.regularizer.d}, instance has d={inst.d}")
-        if hasattr(self.builder, "check"):
+        reg = self.regularizer
+        if reg is not None:
+            if reg.d != inst.d:
+                raise DimensionMismatch(f"Sigma has d={reg.d}, instance has d={inst.d}")
+            if not (reg.is_zero or (reg.is_diagonal and inst.design is Design.ONE_HOT)):
+                _check_normal_matrices(inst)
+        elif hasattr(self.builder, "check"):
             self.builder.check(inst, n)
+        elif not hasattr(self.builder, "memory"):
+            _check_normal_matrices(inst)  # a plain (x1, seed) callable may return any memory
 
     def memory(self, rep) -> Regularizer:
         if self.builder is None:
@@ -636,6 +650,8 @@ class TopK:
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         check_topk_size(self.k, n, inst.d)
+        if self.k:
+            _check_normal_matrices(inst)
 
     def population(self, inst: ProblemInstance, n: int) -> Regularizer:
         return topk_spectrum_regularizer(inst.g, self.k)
@@ -657,6 +673,9 @@ class Sketch:
 
     def __call__(self, x1: np.ndarray, seed) -> Regularizer:
         return sketch_regularizer(x1, self.k, seed)
+
+    def check(self, inst: ProblemInstance, n: int) -> None:
+        _check_normal_matrices(inst)
 
 
 @dataclass(frozen=True)
@@ -720,18 +739,6 @@ class Replications:
         return replication
 
 
-def worker_count() -> int:
-    """Worker threads per estimate: ``GRCL_THREADS``, 1 when unset."""
-    raw = os.environ.get("GRCL_THREADS") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigParse(f"GRCL_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def monte_carlo_expected_excess(
     inst: ProblemInstance,
     algorithm,
@@ -747,29 +754,19 @@ def monte_carlo_expected_excess(
     Noise is integrated analytically inside each replication, so the only
     randomness is the pair of designs (and a data-built regularizer, when
     the algorithm carries one).  Per-replication seeds derive from
-    (seed, replication, stream), making the result independent of
-    execution order; ``GRCL_THREADS`` caps worker threads.  Pass the
-    ``replications`` of (inst, n, reps, seed) to share the draws with
-    other estimates on the same cell; the result does not change.
+    (seed, replication, stream).  Pass the ``replications`` of (inst, n,
+    reps, seed) to share the draws with other estimates on the same cell;
+    the result does not change.
     """
     if reps < 2:
         raise DimensionMismatch(f"need reps >= 2, got {reps}")
     check_algorithm(algorithm, inst, n)
-    workers = worker_count()
     if replications is None:
         replications = Replications(inst, n, reps, seed, memory_bytes=0)
     elif (replications.inst is not inst
           or (replications.n, replications.reps, replications.seed) != (n, reps, seed)):
         raise DimensionMismatch("replications were drawn for another (instance, n, reps, seed)")
-
-    def risk(rep):
-        return algorithm.risk(replications[rep], weighting)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decomps = list(pool.map(risk, range(reps)))
-    else:
-        decomps = [risk(rep) for rep in range(reps)]
+    decomps = [algorithm.risk(replications[rep], weighting) for rep in range(reps)]
     totals = [dec.total for dec in decomps]
     mean = math.fsum(totals) / reps
     sq = math.fsum((t - mean) ** 2 for t in totals)

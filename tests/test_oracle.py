@@ -9,7 +9,9 @@ from grclab.errors import BudgetExceeded, DimensionMismatch, InvalidProbability
 from grclab.model import Design, ProblemInstance, make_spectrum
 from grclab.oracle import (
     MAX_STATES,
+    _compositions,
     _multinomial_states,
+    _state_count,
     binomial_mixed_moment,
     binomial_pmf,
     exact_one_hot_expected_excess,
@@ -143,6 +145,29 @@ class TestExactEnumeration:
         assert MAX_STATES == 10**6
         with pytest.raises(BudgetExceeded, match="1299600 dataset pairs"):
             exact_one_hot_expected_excess(inst, 17, OCL())
+
+    @pytest.mark.parametrize("probs, n", [
+        ([0.25] * 4, 6), ([0.7, 0.3, 0.0], 4), ([0.0, 0.5, 0.0, 0.5, 0.0], 5), ([1.0], 3), ([0.0, 1.0], 2),
+    ])
+    def test_state_count_is_the_enumeration(self, probs, n):
+        probs = np.array(probs)
+        states = _multinomial_states(n, probs)
+        assert _state_count(n, probs) == len(states)
+        # the compositions of n over all atoms that put nothing on a zero-mass atom, in order
+        live = [c for c in _compositions(n, probs.size) if all(p > 0 or not k for k, p in zip(c, probs))]
+        assert [tuple(counts) for counts, _ in states] == live
+        assert math.fsum(p for _, p in states) == pytest.approx(1.0, abs=1e-12)
+
+    def test_budget_checked_before_enumerating(self, monkeypatch):
+        import grclab.oracle as oracle
+
+        def no_states(*args):
+            raise AssertionError("enumerated the states")
+
+        monkeypatch.setattr(oracle, "_multinomial_states", no_states)
+        inst = small_instance([0.125] * 8, [0.125] * 8, np.ones(8))
+        with pytest.raises(BudgetExceeded, match=f"^{math.comb(47, 7) ** 2} dataset pairs exceed"):
+            exact_one_hot_expected_excess(inst, 40, OCL())
 
     def test_monte_carlo_agrees_with_enumeration(self):
         rng = np.random.default_rng(1)

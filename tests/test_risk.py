@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import threading
 import tracemalloc
 
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grclab import sampler
-from grclab.errors import ConfigParse, DimensionMismatch, GrclabError, KTooLarge, NotOneHotDesign, NotPSD
+from grclab.errors import DimensionMismatch, GrclabError, KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
 from grclab.regularizers import (
@@ -36,7 +35,6 @@ from grclab.risk import (
     monte_carlo_expected_excess,
     population_excess,
     weight_vector,
-    worker_count,
 )
 from grclab.risk import _conditional_joint_gram, _conditional_sequential_gram, _eigen_cutoff_ratio, _joint_risk
 from grclab.sampler import sample_gaussian_design, sample_one_hot_design
@@ -352,20 +350,6 @@ class TestMonteCarlo:
         b, db = monte_carlo_expected_excess(inst, L2RCL(0.2), 30, 6, seed=5)
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
         assert (da.bias, da.variance) == (db.bias, db.variance)
-
-    def test_thread_count_does_not_change_result(self):
-        inst = make_problem_pk(3, 8, Design.ONE_HOT)
-        ref, _ = monte_carlo_expected_excess(inst, OCL(), 30, 8, seed=9)
-        old = os.environ.get("GRCL_THREADS")
-        os.environ["GRCL_THREADS"] = "4"
-        try:
-            par, _ = monte_carlo_expected_excess(inst, OCL(), 30, 8, seed=9)
-        finally:
-            if old is None:
-                del os.environ["GRCL_THREADS"]
-            else:
-                os.environ["GRCL_THREADS"] = old
-        assert (ref.mean, ref.std_error) == (par.mean, par.std_error)
 
     def test_ocl_worse_than_joint_on_reversed_head(self):
         inst = make_problem_pk(8, 8, Design.ONE_HOT)
@@ -782,6 +766,32 @@ class TestWidePath:
         with pytest.raises(DimensionMismatch, match="^d=4100 is above 4096"):
             algorithm.risk(replication, RiskWeighting.JOINT)
 
+    @pytest.mark.parametrize("design, algorithm, refused", [
+        (Design.GAUSSIAN, L2RCL(0.1), True),
+        (Design.ONE_HOT, L2RCL(0.1), False),
+        (Design.GAUSSIAN, GRCL(builder=TopK(1)), True),
+        (Design.ONE_HOT, GRCL(builder=TopK(1)), True),
+        (Design.GAUSSIAN, GRCL(builder=TopK(0)), False),
+        (Design.GAUSSIAN, GRCL(builder=Sketch(2)), True),
+        (Design.ONE_HOT, GRCL(builder=Sketch(2)), True),
+        (Design.ONE_HOT, GRCL(builder=Frequency()), False),
+        (Design.GAUSSIAN, GRCL(regularizer=zero_regularizer(4100)), False),
+        (Design.GAUSSIAN, GRCL(regularizer=Regularizer(form="diagonal", values=np.ones(4100))), True),
+        (Design.ONE_HOT, GRCL(regularizer=Regularizer(form="diagonal", values=np.ones(4100))), False),
+        (Design.ONE_HOT, GRCL(regularizer=Regularizer(form="lowrank", factor=np.ones((1, 4100)))), True),
+        (Design.GAUSSIAN, GRCL(builder=lambda x1, seed: zero_regularizer(x1.shape[1])), True),
+        (Design.ONE_HOT, GRCL(builder=lambda x1, seed: zero_regularizer(x1.shape[1])), True),
+        (Design.GAUSSIAN, OCL(), False),
+        (Design.ONE_HOT, Joint(), False),
+    ])
+    def test_check_refuses_d_by_d_memories(self, design, algorithm, refused):
+        inst = make_problem_pk(3, 4100, design)
+        if refused:
+            with pytest.raises(DimensionMismatch, match="^d=4100 is above 4096, where this memory"):
+                check_algorithm(algorithm, inst, 5)
+        else:
+            check_algorithm(algorithm, inst, 5)
+
     @pytest.mark.parametrize("weighting", list(RiskWeighting))
     def test_joint_rows_match_svd_reference(self, weighting):
         inst = wide_instance()
@@ -910,16 +920,3 @@ class TestFailFast:
     def test_bad_gamma(self, gamma):
         with pytest.raises(NotPSD):
             L2RCL(gamma)
-
-    @pytest.mark.parametrize("raw, workers", [("", 1), ("1", 1), ("3", 3)])
-    def test_worker_count(self, monkeypatch, raw, workers):
-        monkeypatch.setenv("GRCL_THREADS", raw)
-        assert worker_count() == workers
-
-    @pytest.mark.parametrize("raw", ["garbage", "0", "-2", "1.5"])
-    def test_bad_worker_count(self, monkeypatch, raw):
-        monkeypatch.setenv("GRCL_THREADS", raw)
-        with pytest.raises(ConfigParse):
-            worker_count()
-        with pytest.raises(ConfigParse):
-            monte_carlo_expected_excess(make_problem_pk(2, 4, Design.GAUSSIAN), OCL(), 5, 2, 0)
