@@ -131,9 +131,9 @@ def topk_from_eigh(eigh_a1: Callable[[], tuple], n: int, d: int, k: int) -> Regu
     return Regularizer(form=LOWRANK, factor=np.sqrt(w)[:, None] * eigvecs[:, top].T)
 
 
-def _count_frequency(counts: np.ndarray, n: int) -> Regularizer:
-    """Diagonal Sigma of the atom frequencies counts / n."""
-    return Regularizer(form=DIAGONAL, values=counts / n)
+def _count_frequencies(counts: np.ndarray, n: int) -> np.ndarray:
+    """Atom frequencies counts / n, of one count vector or of each row of a block."""
+    return counts / n
 
 
 def corollary3_regularizer(g: Spectrum, n: int) -> Regularizer:

@@ -19,13 +19,13 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import sampler
-from .errors import DimensionMismatch, KTooLarge, NotOneHotDesign, NotPSD
+from .errors import DimensionMismatch, KTooLarge, NegativeEigenvalue, NotOneHotDesign, NotPSD
 from .estimators import Weights, _rank_tolerance
 from .model import Design, ProblemInstance, RiskDecomposition
 from .regularizers import (
     Regularizer,
     _as_regularizer,
-    _count_frequency,
+    _count_frequencies,
     check_topk_size,
     corollary3_regularizer,
     sketch_regularizer,
@@ -293,27 +293,59 @@ def _conditional_joint_gram(x1, x2, inst, weighting):
     return RiskDecomposition(bias=bias, variance=max(variance, 0.0))
 
 
+# -- one-hot count rows ---------------------------------------------------------
+#
+# The count engines take blocks of count rows c1, c2 (B x d), one row per
+# replication, and return a list of biases and a list of variances.  The
+# terms are elementwise over the block; each row's sums are separate dots
+# with m, since one (B, d) @ m product rounds differently from B of them.
+
+
+def _count_gamma(reg: Regularizer, d: int) -> np.ndarray | None:
+    """The diagonal of a zero or diagonal memory, as the count engine reads it; None for any other."""
+    if reg.is_diagonal:
+        return reg.values
+    return np.zeros(d) if reg.is_zero else None
+
+
 def _conditional_sequential_onehot(c1, c2, n2, inst, gamma, weighting):
+    """Sequential risks of count rows under the diagonal memory gamma, (d,) or (B, d)."""
     m = weight_vector(inst, weighting)
     s = c2 + n2 * gamma
     live = s > 0
     q = np.where(live, np.divide(n2 * gamma, s, out=np.zeros_like(s), where=live), 1.0)
-    p1w = np.where(c1 == 0, inst.w_star, 0.0)
-    b = q * p1w
-    bias = float(m @ (b * b))
+    b = q * np.where(c1 == 0, inst.w_star, 0.0)
+    bias = [float(m @ row) for row in b * b]
     a1inv = np.divide(1.0, c1, out=np.zeros_like(c1, dtype=float), where=c1 > 0)
     noise2 = np.divide(c2, s * s, out=np.zeros_like(s), where=live)
-    variance = inst.sigma2 * float(m @ (q * q * a1inv) + m @ noise2)
-    return RiskDecomposition(bias=bias, variance=variance)
+    variance = [inst.sigma2 * float(m @ first + m @ second)
+                for first, second in zip(q * q * a1inv, noise2)]
+    return bias, variance
 
 
 def _conditional_joint_onehot(c1, c2, inst, weighting):
+    """Stacked min-norm risks of count rows."""
     m = weight_vector(inst, weighting)
     c = c1 + c2
     pw = np.where(c == 0, inst.w_star, 0.0)
-    bias = float(m @ (pw * pw))
     ainv = np.divide(1.0, c, out=np.zeros_like(c, dtype=float), where=c > 0)
-    return RiskDecomposition(bias=bias, variance=inst.sigma2 * float(m @ ainv))
+    return [float(m @ row) for row in pw * pw], [inst.sigma2 * float(m @ row) for row in ainv]
+
+
+def _one_row(risks) -> RiskDecomposition:
+    (bias,), (variance,) = risks
+    return RiskDecomposition(bias=bias, variance=variance)
+
+
+def _design_words(seed: int, reps) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 words of the task-1 and task-2 design streams of the replications ``reps``, one row each."""
+    return tuple(sampler.pcg64_words(sampler.stream_seeds(seed, reps, tag))
+                 for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN))
+
+
+def _draw_count_rows(inst: ProblemInstance, n: int, words) -> tuple[np.ndarray, np.ndarray]:
+    """(c1, c2) rows of the one-hot replications whose design streams start from ``words``."""
+    return tuple(sampler.sample_one_hot_count_block(s, n, w) for s, w in zip((inst.g, inst.h), words))
 
 
 # -- one pair of designs, and the one choice among the three paths ------------------
@@ -421,11 +453,8 @@ class Replication:
             if self._designs is not None:
                 self._counts = tuple(x.sum(axis=0) for x in self._designs)
             else:
-                draw = sampler.sample_one_hot_counts
-                self._counts = (
-                    draw(self.inst.g, self.n, self._stream(sampler.TASK1_DESIGN)),
-                    draw(self.inst.h, self.n, self._stream(sampler.TASK2_DESIGN)),
-                )
+                rows = _draw_count_rows(self.inst, self.n, _design_words(self.seed, [self.rep]))
+                self._counts = tuple(c[0] for c in rows)
         return self._counts
 
     def normal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -460,16 +489,19 @@ class Replication:
 
     def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
         reg = _as_regularizer(memory, self.inst.d)
-        if self.one_hot and (reg.is_zero or reg.is_diagonal):
-            gamma = reg.values if reg.is_diagonal else np.zeros(self.inst.d)
-            return _conditional_sequential_onehot(*self.counts(), self.n2, self.inst, gamma, weighting)
+        gamma = _count_gamma(reg, self.inst.d) if self.one_hot else None
+        if gamma is not None:
+            c1, c2 = self.counts()
+            rows = _conditional_sequential_onehot(c1[None], c2[None], self.n2, self.inst, gamma, weighting)
+            return _one_row(rows)
         if _wide(self.inst) and reg.is_zero:
             return _conditional_sequential_gram(*self.designs(), self.inst, weighting)
         return _sequential_risk(self, reg, weighting)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
         if self.one_hot:
-            return _conditional_joint_onehot(*self.counts(), self.inst, weighting)
+            c1, c2 = self.counts()
+            return _one_row(_conditional_joint_onehot(c1[None], c2[None], self.inst, weighting))
         if _wide(self.inst):
             return _conditional_joint_gram(*self.designs(), self.inst, weighting)
         return _joint_risk(self, weighting)
@@ -685,7 +717,7 @@ class Frequency:
     label: ClassVar[str] = "freq"
 
     def memory(self, rep) -> Regularizer:
-        return _count_frequency(rep.counts()[0], rep.n)
+        return Regularizer(form="diagonal", values=_count_frequencies(rep.counts()[0], rep.n))
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         if inst.design is not Design.ONE_HOT:
@@ -702,10 +734,38 @@ def check_algorithm(algorithm, inst: ProblemInstance, n: int) -> None:
     algorithm.check(inst, n)
 
 
+def _count_risks(algorithm, c1, c2, inst: ProblemInstance, n: int, weighting: RiskWeighting):
+    """Biases and variances of ``algorithm`` on one-hot count rows c1, c2 (B x d).
+
+    None where the counts do not determine them.  ``Joint``, ``OCL``,
+    ``L2RCL``, a fixed zero or diagonal ``GRCL`` memory and the
+    ``Frequency`` builder are read from the counts; types match exactly,
+    since a subclass may read more of a replication than its counts.
+    """
+    kind = type(algorithm)
+    if kind is Joint:
+        return _conditional_joint_onehot(c1, c2, inst, weighting)
+    if kind is GRCL and type(algorithm.builder) is Frequency:
+        gamma = _count_frequencies(c1, n)
+    elif kind in (OCL, L2RCL) or (kind is GRCL and algorithm.builder is None):
+        gamma = _count_gamma(algorithm.population_memory(inst, n), inst.d)
+    else:
+        return None
+    return None if gamma is None else _conditional_sequential_onehot(c1, c2, n, inst, gamma, weighting)
+
+
 # -- Monte Carlo over design replications ---------------------------------------
 
 # Bytes of normal matrices and eigenbases a shared set of replications keeps between rows.
 SHARED_BYTES_MAX = 512 * 2**20
+
+# Most draws, and most counts, per task in one block of one-hot replications;
+# a block holds one replication at least.
+_COUNT_BLOCK = 2**14
+
+# Replications whose generator words are hashed at once, or one block if more:
+# a hash costs about 0.1 ms a call at any length, so small blocks share one.
+_SEED_RUN = 2**12
 
 
 class Replications:
@@ -718,6 +778,12 @@ class Replications:
     kept, each made on first use, so that at most ``memory_bytes`` are
     held (3 d^2 floats per replication); the rest, and every replication
     off the dense path, are drawn again for each row.
+
+    One-hot replications are drawn as blocks of count rows, each block
+    holding at most ``_COUNT_BLOCK`` draws and counts per task; the block
+    drawn last is kept, so a cell of one block is drawn once for all rows.
+    Their generator words are hashed for runs of whole blocks, at least
+    ``_SEED_RUN`` replications long, and the run hashed last is kept.
     """
 
     def __init__(self, inst: ProblemInstance, n: int, reps: int, seed: int,
@@ -728,13 +794,38 @@ class Replications:
         dense = inst.design is Design.GAUSSIAN and not _wide(inst)
         self._capacity = min(reps, memory_bytes // (3 * 8 * inst.d * inst.d)) if dense else 0
         self._kept: dict[int, Replication] = {}
+        self._block_rows = max(1, _COUNT_BLOCK // max(n, inst.d))
+        self._run_rows = self._block_rows * max(1, _SEED_RUN // self._block_rows)
+        self._block = (0, None)  # first replication and (c1, c2) rows of the block drawn last
+        self._words = (0, None)  # first replication and design-stream words of the run hashed last
+
+    @property
+    def one_hot(self) -> bool:
+        return self.inst.design is Design.ONE_HOT
+
+    def _count_block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """(c1, c2) rows (B x d) of the one-hot block that begins at replication ``start``."""
+        first, rows = self._block
+        if rows is None or first != start:
+            run, words = self._words
+            if words is None or not run <= start < run + len(words[0]):
+                run = start
+                words = _design_words(self.seed, np.arange(run, min(run + self._run_rows, self.reps)))
+                self._words = (run, words)
+            block = slice(start - run, start - run + self._block_rows)
+            rows = _draw_count_rows(self.inst, self.n, tuple(w[block] for w in words))
+            self._block = (start, rows)
+        return rows
 
     def __getitem__(self, rep: int) -> Replication:
         """Replication ``rep`` as the algorithms read it."""
         replication = self._kept.get(rep)
         if replication is None:
             replication = Replication(self.inst, self.n, self.seed, rep)
-            if rep < self._capacity:
+            if self.one_hot:
+                row = rep % self._block_rows
+                replication._counts = tuple(c[row] for c in self._count_block(rep - row))
+            elif rep < self._capacity:
                 self._kept[rep] = replication
         return replication
 
@@ -756,7 +847,9 @@ def monte_carlo_expected_excess(
     the algorithm carries one).  Per-replication seeds derive from
     (seed, replication, stream).  Pass the ``replications`` of (inst, n,
     reps, seed) to share the draws with other estimates on the same cell;
-    the result does not change.
+    the result does not change.  One-hot algorithms whose risk the counts
+    determine run a block of replications at a time; the result is that of
+    one replication at a time, bit for bit.
     """
     if reps < 2:
         raise DimensionMismatch(f"need reps >= 2, got {reps}")
@@ -766,12 +859,25 @@ def monte_carlo_expected_excess(
     elif (replications.inst is not inst
           or (replications.n, replications.reps, replications.seed) != (n, reps, seed)):
         raise DimensionMismatch("replications were drawn for another (instance, n, reps, seed)")
-    decomps = [algorithm.risk(replications[rep], weighting) for rep in range(reps)]
-    totals = [dec.total for dec in decomps]
+    bias, variance = np.empty(reps), np.empty(reps)
+    done = 0
+    if replications.one_hot:
+        for start in range(0, reps, replications._block_rows):
+            c1, c2 = replications._count_block(start)
+            risks = _count_risks(algorithm, c1, c2, inst, n, weighting)
+            if risks is None:  # the memory reads more than the counts: one replication at a time
+                break
+            rows = np.array(risks)
+            done = start + rows.shape[1]
+            if not np.all((rows >= 0) & (rows < math.inf)):  # as each RiskDecomposition checks
+                raise NegativeEigenvalue(f"non-finite or negative risk in replications {start} to {done - 1}")
+            bias[start:done], variance[start:done] = rows
+    for rep in range(done, reps):
+        dec = algorithm.risk(replications[rep], weighting)
+        bias[rep], variance[rep] = dec.bias, dec.variance
+    totals = bias + variance
     mean = math.fsum(totals) / reps
-    sq = math.fsum((t - mean) ** 2 for t in totals)
+    sq = math.fsum((t - mean) ** 2 for t in map(float, totals))
     std_error = math.sqrt(sq / (reps - 1)) / math.sqrt(reps)
-    bias_mean = math.fsum(dec.bias for dec in decomps) / reps
-    var_mean = math.fsum(dec.variance for dec in decomps) / reps
     estimate = MonteCarloEstimate(mean=mean, std_error=std_error, replications=reps)
-    return estimate, RiskDecomposition(bias=bias_mean, variance=var_mean)
+    return estimate, RiskDecomposition(bias=math.fsum(bias) / reps, variance=math.fsum(variance) / reps)

@@ -375,7 +375,8 @@ class TestWidePath:
         def no_draw(*args):
             raise AssertionError("a design was drawn")
 
-        for name in ("sample_gaussian_design", "sample_one_hot_design", "sample_one_hot_counts"):
+        for name in ("sample_gaussian_design", "sample_one_hot_design", "sample_one_hot_counts",
+                     "sample_one_hot_count_block"):
             monkeypatch.setattr(sampler, name, no_draw)
         out = tmp_path / "n.csv"
         path = write_config(tmp_path / "c.cfg", f"pk_k = 3\npk_d = 4100\ndesign = {design}\n"

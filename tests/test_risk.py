@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grclab import sampler
-from grclab.errors import DimensionMismatch, GrclabError, KTooLarge, NotOneHotDesign, NotPSD
+from grclab import risk, sampler
+from grclab.errors import DimensionMismatch, GrclabError, KTooLarge, NegativeEigenvalue, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl, fit_joint, fit_min_norm, fit_ocl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
 from grclab.regularizers import (
@@ -558,6 +558,16 @@ class TestSharedReplications:
         assert shared._capacity == 10**6 and shared._kept == {}
         assert peak < 64 * 2**10
 
+    def test_one_hot_construction_draws_no_block(self):
+        tracemalloc.start()
+        try:
+            shared = Replications(make_problem_pk(2, 2, Design.ONE_HOT), 4, 10**6, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shared._block == (0, None) and shared._kept == {}
+        assert peak < 64 * 2**10
+
     def test_kept_replications_are_made_on_first_use(self):
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
         shared = Replications(inst, 12, 4, seed=5, memory_bytes=3 * 3 * 8 * 8 * 8)
@@ -651,6 +661,84 @@ class TestOneHotCounts:
                         inst, algorithm, n, reps, seed, weighting, replications=replications
                     )
                     assert (est.mean, est.std_error, dec.bias, dec.variance) == want
+
+    @pytest.mark.parametrize("inst", [make_problem_pk(3, 6, Design.ONE_HOT), zero_mass_instance()])
+    @pytest.mark.parametrize("block_rows", [1, 3, 4])
+    def test_block_boundaries_change_nothing(self, inst, block_rows, monkeypatch):
+        # 7 replications in blocks of one (seeds hashed in runs of 5 + 2),
+        # in 3 + 3 + 1 and in 4 + 3 (one block per run)
+        n, reps, seed = 4, 7, 2**32 + 13
+        monkeypatch.setattr(risk, "_COUNT_BLOCK", block_rows * max(n, inst.d))
+        monkeypatch.setattr(risk, "_SEED_RUN", 5)
+        algorithms = count_path_algorithms(inst.d) + [GRCL(builder=Sketch(2))]
+        for weighting in RiskWeighting:
+            for algorithm in algorithms:
+                want = design_reference(inst, algorithm, n, reps, seed, weighting)
+                shared = Replications(inst, n, reps, seed)
+                assert (shared._block_rows, shared._run_rows) == (block_rows, 5 if block_rows == 1 else block_rows)
+                for replications in (None, shared):
+                    est, dec = monte_carlo_expected_excess(
+                        inst, algorithm, n, reps, seed, weighting, replications=replications
+                    )
+                    assert (est.mean, est.std_error, dec.bias, dec.variance) == want
+        for rep in (6, 0, 5, 2, 3):  # out of order, across runs and blocks
+            got, want = shared[rep].counts(), Replication(inst, n, seed, rep).counts()
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    def test_custom_algorithm_runs_one_replication_at_a_time(self):
+        class Custom:
+            name = label = "custom"
+
+            def check(self, inst, n):
+                pass
+
+            def risk(self, rep, weighting):
+                return OCL().risk(rep, weighting)
+
+        inst = zero_mass_instance()
+        for replications in (None, Replications(inst, 6, 9, seed=3)):
+            got, _ = monte_carlo_expected_excess(inst, Custom(), 6, 9, 3, replications=replications)
+            want, _ = monte_carlo_expected_excess(inst, OCL(), 6, 9, 3)
+            assert got == want
+
+    def test_subclass_memory_is_read_per_replication(self):
+        # the block engine reads OCL's memory off the class; a subclass that
+        # builds its memory from the data must get that memory on each replication
+        class FrequencyOCL(OCL):
+            def memory(self, rep):
+                return Frequency().memory(rep)
+
+        inst = make_problem_pk(3, 6, Design.ONE_HOT)
+        got = monte_carlo_expected_excess(inst, FrequencyOCL(), 4, 9, 3)
+        assert got == monte_carlo_expected_excess(inst, GRCL(builder=Frequency()), 4, 9, 3)
+        assert got != monte_carlo_expected_excess(inst, OCL(), 4, 9, 3)
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_bad_risk_in_a_block_raises(self, bad, monkeypatch):
+        # one bad replication among nine must raise, not be averaged away
+        count_risks = risk._count_risks
+
+        def one_bad_row(*args):
+            bias, variance = count_risks(*args)
+            return bias[:4] + [bad] + bias[5:], variance
+
+        monkeypatch.setattr(risk, "_count_risks", one_bad_row)
+        with pytest.raises(NegativeEigenvalue, match="replications 0 to 8"):
+            monte_carlo_expected_excess(make_problem_pk(3, 6, Design.ONE_HOT), Joint(), 4, 9, 3)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # a block holds at most 2^14 draws and counts per task, and a run of
+        # generator words 32 bytes per replication and task for 4,095 of them;
+        # the estimate keeps three floats per replication (2.4 MB here) beside
+        # them, where all count rows of the cell would take 32 MB; 3.9 MB measured
+        inst = make_problem_pk(3, 20, Design.ONE_HOT)
+        tracemalloc.start()
+        try:
+            monte_carlo_expected_excess(inst, GRCL(builder=Frequency()), 4, 10**5, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_count_path_neither_draws_nor_scans_designs(self, monkeypatch):
         def forbidden(*args):
@@ -760,7 +848,8 @@ class TestWidePath:
         def no_draw(*args):
             raise AssertionError("a design was drawn")
 
-        for name in ("sample_gaussian_design", "sample_one_hot_design", "sample_one_hot_counts"):
+        for name in ("sample_gaussian_design", "sample_one_hot_design", "sample_one_hot_counts",
+                     "sample_one_hot_count_block"):
             monkeypatch.setattr(sampler, name, no_draw)
         replication = Replication(make_problem_pk(3, 4100, design), 5, 1, 0)
         with pytest.raises(DimensionMismatch, match="^d=4100 is above 4096"):

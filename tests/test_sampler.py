@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,17 @@ from grclab.sampler import (
     TASK1_NOISE,
     TASK2_DESIGN,
     TASK2_NOISE,
+    REGULARIZER_STREAM,
     sample_gaussian_design,
     sample_labels,
+    sample_one_hot_count_block,
     sample_one_hot_counts,
     sample_one_hot_design,
     stream_seed,
+    stream_seeds,
 )
+
+TAGS = (TASK1_DESIGN, TASK1_NOISE, TASK2_DESIGN, TASK2_NOISE, REGULARIZER_STREAM)
 
 
 class TestOneHotDesign:
@@ -95,6 +102,16 @@ class TestOneHotCounts:
         assert not counts[s.values == 0].any()
 
 
+    @settings(max_examples=50, deadline=None)
+    @given(s=one_hot_spectra(), n=st.integers(1, 40),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=6))
+    def test_block_rows_are_the_single_draws(self, s, n, seeds):
+        block = sample_one_hot_count_block(s, n, sampler.pcg64_words(np.array(seeds, dtype=np.uint64)))
+        assert block.dtype == np.float64 and block.shape == (len(seeds), s.d)
+        for row, seed in zip(block, seeds):
+            assert row.tobytes() == sample_one_hot_counts(s, n, seed).tobytes()
+
+
 class TestGaussianDesign:
     def test_zero_covariance(self):
         s = make_spectrum([0.0, 0.0, 0.0])
@@ -160,3 +177,60 @@ class TestStreams:
 
     def test_stream_seed_stable(self):
         assert stream_seed(1, 2, 3) == stream_seed(1, 2, 3)
+
+
+class TestBlockSeeds:
+    """The block hash is numpy's SeedSequence, bit for bit, on blocks of every size."""
+
+    @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**64, 2**64 + 2**32 + 5,
+                                        2**100 + 1])
+    def test_stream_seeds_are_stream_seed(self, master):
+        reps = np.concatenate([[0, 1, 2**32 - 1], np.random.default_rng(master % 97).integers(0, 2**32, 30)])
+        for tag in TAGS:
+            seeds = stream_seeds(master, reps, tag)
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [stream_seed(master, int(rep), tag) for rep in reps]
+            assert stream_seeds(master, reps[:1], tag).tolist() == seeds[:1].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(master=st.integers(0, 2**96), rep=st.integers(0, 2**32 - 1), tag=st.sampled_from(TAGS))
+    def test_random_triples(self, master, rep, tag):
+        for reps in ([rep], [rep, 0, rep // 2]):
+            assert stream_seeds(master, reps, tag).tolist() == [stream_seed(master, r, tag) for r in reps]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_generator_from_the_words_draws_as_default_rng(self, seed):
+        self.check_words(seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_random_seeds_draw_as_default_rng(self, seed):
+        self.check_words(seed)
+
+    @staticmethod
+    def check_words(seed):
+        seeds = [seed, 2**64 - 1 - seed]
+        block = sampler.pcg64_words(np.array(seeds, dtype=np.uint64))
+        assert sampler.pcg64_words(np.array(seeds[:1], dtype=np.uint64)).tolist() == block[:1].tolist()
+        for seed, words in zip(seeds, block):
+            assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+            drawn = np.random.Generator(np.random.PCG64(sampler._seed_words_type()(words)))
+            reference = np.random.default_rng(seed)
+            assert drawn.random(33).tobytes() == reference.random(33).tobytes()
+            assert drawn.standard_normal(5).tobytes() == reference.standard_normal(5).tobytes()
+
+    def test_hash_warns_of_no_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for reps in ([2**32 - 1], [2**32 - 1, 0], [0, 2**32 - 1, 7]):
+                seeds = stream_seeds(2**64 + 2**32 - 1, reps, REGULARIZER_STREAM)
+                sampler.pcg64_words(seeds)
+            sampler.pcg64_words(np.array([2**64 - 1, 0], dtype=np.uint64))
+
+    def test_empty_block(self):
+        assert stream_seeds(3, [], TASK1_DESIGN).shape == (0,)
+
+    @pytest.mark.parametrize("master, reps", [(-1, [0]), (0, [-1]), (0, [2**32])])
+    def test_out_of_range_rejected(self, master, reps):
+        with pytest.raises(DimensionMismatch):
+            stream_seeds(master, reps, TASK1_DESIGN)
