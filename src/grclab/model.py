@@ -25,6 +25,10 @@ from .errors import (
 
 ONE_HOT_MASS_TOL = 1e-9
 
+# Cells of a one-hot spectrum's guide table.  A power of two, so that u * G
+# is exact and floor(u * G) is the cell of a uniform draw u.
+GUIDE_CELLS = 2**10
+
 
 class Design(enum.Enum):
     """Random-design family for the covariate draws."""
@@ -64,6 +68,33 @@ class Spectrum:
     def last_atom(self) -> int:
         """Index of the last entry with positive mass."""
         return int(np.flatnonzero(self.values)[-1])
+
+    def search(self, u: np.ndarray) -> np.ndarray:
+        """Atom of each draw in ``u`` by inverse CDF, a search of ``cdf``.
+
+        A draw at or beyond the rounded total mass goes to the last atom
+        with positive mass, never to a trailing zero-mass atom.
+        """
+        idx = np.searchsorted(self.cdf, u, side="right")
+        return np.minimum(idx, self.last_atom, out=idx)
+
+    @cached_property
+    def guide(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Guide table (lo, split) of the inverse CDF over ``GUIDE_CELLS`` cells of [0, 1).
+
+        ``lo[k]`` is ``search(u)`` at u = k / G.  That atom is monotone in
+        u, so every draw of cell k has atom ``lo[k]`` unless ``split[k]``:
+        the atoms of the cell's two ends differ.  None where more than half
+        the cells are split (wide spectra): the table then spares too few
+        searches to pay for its own lookups.
+        """
+        atoms = self.search(np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS)
+        lo, split = atoms[:-1], atoms[:-1] != atoms[1:]
+        if np.count_nonzero(split) > GUIDE_CELLS // 2:
+            return None
+        lo.setflags(write=False)
+        split.setflags(write=False)
+        return lo, split
 
 
 def make_spectrum(values, one_hot: bool = False) -> Spectrum:

@@ -9,16 +9,20 @@ summed exactly in log space.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, GrclabError, InvalidProbability
 from .model import Design, ProblemInstance, RiskDecomposition
-from .risk import Replication, RiskWeighting, check_algorithm
+from .risk import Replication, RiskWeighting, _checked_count_risks, check_algorithm
 
 # Most dataset pairs one enumeration may visit.
 MAX_STATES = 10**6
+
+# Most counts per task in one block of pairs.
+_PAIR_BLOCK = 2**16
 
 
 def binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -117,12 +121,13 @@ def exact_one_hot_expected_excess(
     """Exact design-expectation of the conditional excess risk.
 
     Every pair of one-hot datasets is visited through its count vectors
-    with the exact multinomial probability, read as a count
-    :class:`grclab.risk.Replication`, whose risk integrates the label
-    noise analytically.  Only count-determined algorithms are meaningful
-    here (all four standard ones are); a builder that reads rows gets
-    them in atom order, and one that draws gets the memory seed of
-    stream (seed 0, replication 0) for every pair.
+    with the exact multinomial probability; its risk integrates the label
+    noise analytically.  Pairs are read in blocks by the Monte Carlo
+    count engine where the counts determine the risk, else each as a
+    count :class:`grclab.risk.Replication`.  Only count-determined
+    algorithms are meaningful here (all four standard ones are); a
+    builder that reads rows gets them in atom order, and one that draws
+    gets the memory seed of stream (seed 0, replication 0) for every pair.
     """
     if inst.design is not Design.ONE_HOT:
         raise DimensionMismatch("exhaustive enumeration needs a one-hot instance")
@@ -132,19 +137,39 @@ def exact_one_hot_expected_excess(
         raise BudgetExceeded(f"{n_pairs} dataset pairs exceed the budget of {MAX_STATES}")
     states1 = _multinomial_states(n, inst.g.values)
     states2 = _multinomial_states(n, inst.h.values)
+    probs = np.multiply.outer([p for _, p in states1], [p for _, p in states2]).ravel()
+    counts1, counts2 = (np.array([c for c, _ in states]) for states in (states1, states2))
+    bias, variance = _pair_risks(inst, n, algorithm, weighting, counts1, counts2)
 
-    bias_terms, var_terms, prob_terms = [], [], []
-    for c1, p1 in states1:
-        for c2, p2 in states2:
-            dec = algorithm.risk(Replication.of_counts(inst, c1, c2), weighting)
-            p = p1 * p2
-            prob_terms.append(p)
-            bias_terms.append(p * dec.bias)
-            var_terms.append(p * dec.variance)
-
-    total_prob = math.fsum(prob_terms)
+    total_prob = math.fsum(probs)
     if abs(total_prob - 1.0) > 1e-9:
         raise GrclabError(f"enumeration probabilities sum to {total_prob!r}")
     return RiskDecomposition(
-        bias=math.fsum(bias_terms), variance=math.fsum(var_terms)
+        bias=math.fsum(probs * bias), variance=math.fsum(probs * variance)
     )
+
+
+def _pair_risks(inst, n, algorithm, weighting, counts1, counts2) -> np.ndarray:
+    """Biases and variances (2, P) of all pairs of a task-1 and a task-2 count row, task-1 major.
+
+    Algorithms whose risks the counts determine run blocks of pairs
+    through the Monte Carlo count engine; any other reads one count
+    ``Replication`` per pair.
+    """
+    size2 = len(counts2)
+    pairs = len(counts1) * size2
+    step = max(1, _PAIR_BLOCK // inst.d)
+    risks = np.empty((2, pairs))
+    for start in range(0, pairs, step):
+        task1, task2 = divmod(np.arange(start, min(start + step, pairs)), size2)
+        rows = _checked_count_risks(algorithm, counts1[task1], counts2[task2], inst, n, weighting,
+                                    start, "pairs")
+        if rows is None:
+            break
+        risks[:, start:start + rows.shape[1]] = rows
+    else:
+        return risks
+    for pair, (c1, c2) in enumerate(itertools.product(counts1, counts2)):
+        dec = algorithm.risk(Replication.of_counts(inst, c1, c2), weighting)
+        risks[:, pair] = dec.bias, dec.variance
+    return risks

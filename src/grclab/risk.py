@@ -296,9 +296,9 @@ def _conditional_joint_gram(x1, x2, inst, weighting):
 # -- one-hot count rows ---------------------------------------------------------
 #
 # The count engines take blocks of count rows c1, c2 (B x d), one row per
-# replication, and return a list of biases and a list of variances.  The
-# terms are elementwise over the block; each row's sums are separate dots
-# with m, since one (B, d) @ m product rounds differently from B of them.
+# replication, and return an array of biases and an array of variances.
+# The terms are elementwise over the block, and each row's sum is
+# ``np.vecdot(rows, m)``: the same dot per row as ``m @ row``, in one loop.
 
 
 def _count_gamma(reg: Regularizer, d: int) -> np.ndarray | None:
@@ -315,12 +315,10 @@ def _conditional_sequential_onehot(c1, c2, n2, inst, gamma, weighting):
     live = s > 0
     q = np.where(live, np.divide(n2 * gamma, s, out=np.zeros_like(s), where=live), 1.0)
     b = q * np.where(c1 == 0, inst.w_star, 0.0)
-    bias = [float(m @ row) for row in b * b]
     a1inv = np.divide(1.0, c1, out=np.zeros_like(c1, dtype=float), where=c1 > 0)
     noise2 = np.divide(c2, s * s, out=np.zeros_like(s), where=live)
-    variance = [inst.sigma2 * float(m @ first + m @ second)
-                for first, second in zip(q * q * a1inv, noise2)]
-    return bias, variance
+    variance = inst.sigma2 * (np.vecdot(q * q * a1inv, m) + np.vecdot(noise2, m))
+    return np.vecdot(b * b, m), variance
 
 
 def _conditional_joint_onehot(c1, c2, inst, weighting):
@@ -329,12 +327,12 @@ def _conditional_joint_onehot(c1, c2, inst, weighting):
     c = c1 + c2
     pw = np.where(c == 0, inst.w_star, 0.0)
     ainv = np.divide(1.0, c, out=np.zeros_like(c, dtype=float), where=c > 0)
-    return [float(m @ row) for row in pw * pw], [inst.sigma2 * float(m @ row) for row in ainv]
+    return np.vecdot(pw * pw, m), inst.sigma2 * np.vecdot(ainv, m)
 
 
 def _one_row(risks) -> RiskDecomposition:
     (bias,), (variance,) = risks
-    return RiskDecomposition(bias=bias, variance=variance)
+    return RiskDecomposition(bias=float(bias), variance=float(variance))
 
 
 def _design_words(seed: int, reps) -> tuple[np.ndarray, np.ndarray]:
@@ -754,6 +752,22 @@ def _count_risks(algorithm, c1, c2, inst: ProblemInstance, n: int, weighting: Ri
     return None if gamma is None else _conditional_sequential_onehot(c1, c2, n, inst, gamma, weighting)
 
 
+def _checked_count_risks(algorithm, c1, c2, inst: ProblemInstance, n: int,
+                         weighting: RiskWeighting, first: int, unit: str) -> np.ndarray | None:
+    """``_count_risks`` as one (2, B) array of biases and variances, checked as each RiskDecomposition is.
+
+    The rows are ``unit`` ``first`` onwards, as the error names them.
+    """
+    risks = _count_risks(algorithm, c1, c2, inst, n, weighting)
+    if risks is None:
+        return None
+    rows = np.array(risks)
+    if not np.all((rows >= 0) & (rows < math.inf)):
+        last = first + rows.shape[1] - 1
+        raise NegativeEigenvalue(f"non-finite or negative risk in {unit} {first} to {last}")
+    return rows
+
+
 # -- Monte Carlo over design replications ---------------------------------------
 
 # Bytes of normal matrices and eigenbases a shared set of replications keeps between rows.
@@ -864,13 +878,10 @@ def monte_carlo_expected_excess(
     if replications.one_hot:
         for start in range(0, reps, replications._block_rows):
             c1, c2 = replications._count_block(start)
-            risks = _count_risks(algorithm, c1, c2, inst, n, weighting)
-            if risks is None:  # the memory reads more than the counts: one replication at a time
+            rows = _checked_count_risks(algorithm, c1, c2, inst, n, weighting, start, "replications")
+            if rows is None:  # the memory reads more than the counts: one replication at a time
                 break
-            rows = np.array(risks)
             done = start + rows.shape[1]
-            if not np.all((rows >= 0) & (rows < math.inf)):  # as each RiskDecomposition checks
-                raise NegativeEigenvalue(f"non-finite or negative risk in replications {start} to {done - 1}")
             bias[start:done], variance[start:done] = rows
     for rep in range(done, reps):
         dec = algorithm.risk(replications[rep], weighting)

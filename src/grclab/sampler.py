@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 from .errors import DimensionMismatch, NotAProbabilitySpectrum
-from .model import Spectrum
+from .model import GUIDE_CELLS, Spectrum
 
 # Stream tags for replication-level seed derivation.
 TASK1_DESIGN = 0
@@ -149,15 +149,23 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _one_hot_atoms(s: Spectrum, u: np.ndarray) -> np.ndarray:
-    """Atom index of each uniform draw in ``u``, by inverse CDF.
+    """``s.search(u)`` for draws u in [0, 1), read from the spectrum's guide table.
 
-    A draw at or beyond the rounded total mass goes to the last atom
-    with positive mass, never to a trailing zero-mass atom.
+    The table gives the atom of a draw whose cell is not split; only the
+    other draws are searched, and all of them where the spectrum has no
+    table.
     """
     if not s.one_hot:
         raise NotAProbabilitySpectrum("design spectrum must be one-hot")
-    idx = np.searchsorted(s.cdf, u, side="right")
-    return np.minimum(idx, s.last_atom, out=idx)
+    if s.guide is None:
+        return s.search(u)
+    lo, split = s.guide
+    cell = (u * GUIDE_CELLS).astype(np.intp)
+    idx = lo[cell]
+    in_split = np.flatnonzero(split[cell])
+    if in_split.size:
+        np.put(idx, in_split, s.search(np.take(u, in_split)))
+    return idx
 
 
 def _one_hot_count_rows(s: Spectrum, u: np.ndarray) -> np.ndarray:

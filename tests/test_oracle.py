@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grclab.errors import BudgetExceeded, DimensionMismatch, InvalidProbability
+from grclab import oracle, risk
+from grclab.errors import BudgetExceeded, DimensionMismatch, InvalidProbability, NegativeEigenvalue
 from grclab.model import Design, ProblemInstance, make_spectrum
 from grclab.oracle import (
     MAX_STATES,
@@ -159,8 +160,6 @@ class TestExactEnumeration:
         assert math.fsum(p for _, p in states) == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_checked_before_enumerating(self, monkeypatch):
-        import grclab.oracle as oracle
-
         def no_states(*args):
             raise AssertionError("enumerated the states")
 
@@ -241,6 +240,33 @@ class TestCountPairs:
                 for weighting in RiskWeighting:
                     dec = exact_one_hot_expected_excess(inst, n, algorithm, weighting=weighting)
                     assert (dec.bias, dec.variance) == design_reference(inst, n, algorithm, weighting)
+
+    @pytest.mark.parametrize("pairs_per_block", [1, 7])
+    def test_block_boundaries_change_nothing(self, pairs_per_block, monkeypatch):
+        cases = [(inst, n, algorithm, weighting)
+                 for inst, n in random_small_instances()
+                 for algorithm in enumeration_algorithms(inst.d)
+                 for weighting in RiskWeighting]
+        want = [exact_one_hot_expected_excess(*case[:3], weighting=case[3]) for case in cases]
+        for (inst, n, algorithm, weighting), dec in zip(cases, want):
+            monkeypatch.setattr(oracle, "_PAIR_BLOCK", pairs_per_block * inst.d)
+            assert exact_one_hot_expected_excess(inst, n, algorithm, weighting=weighting) == dec
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_bad_risk_in_a_block_raises(self, bad, monkeypatch):
+        # one bad pair among the 36 of two 2-atom instances at n = 5 must raise
+        count_risks = risk._count_risks
+
+        def one_bad_row(*args):
+            bias, variance = count_risks(*args)
+            variance = variance.copy()
+            variance[-1] = bad
+            return bias, variance
+
+        monkeypatch.setattr(risk, "_count_risks", one_bad_row)
+        inst = small_instance([0.4, 0.6], [0.5, 0.5], [1.0, -1.0])
+        with pytest.raises(NegativeEigenvalue, match="pairs 0 to 35"):
+            exact_one_hot_expected_excess(inst, 5, Joint())
 
     def test_count_determined_algorithms_build_and_scan_no_design(self, monkeypatch):
         def forbidden(*args):

@@ -713,6 +713,35 @@ class TestOneHotCounts:
         assert got == monte_carlo_expected_excess(inst, GRCL(builder=Frequency()), 4, 9, 3)
         assert got != monte_carlo_expected_excess(inst, OCL(), 4, 9, 3)
 
+    @pytest.mark.parametrize("d", [1, 2, 15, 16, 17, 33])  # about the 16-wide ddot kernel
+    @pytest.mark.parametrize("rows", [1, 7, 4096])
+    def test_row_sums_are_the_per_row_dots(self, d, rows):
+        # each row's sums as one ``float(m @ row)`` per row, bit for bit
+        rng = np.random.default_rng(d * 10**4 + rows)
+        inst = one_hot_instance(rng, d, sigma2=0.7)
+        c1, c2 = (rng.integers(0, 4, (rows, d)).astype(float) for _ in range(2))
+        n2, gamma = 5, rng.choice([0.0, 0.3, 2.0], d)
+
+        def dots(m, block):
+            return [float(m @ row) for row in block]
+
+        for weighting in RiskWeighting:
+            m = weight_vector(inst, weighting)
+            s = c2 + n2 * gamma
+            live = s > 0
+            q = np.where(live, np.divide(n2 * gamma, s, out=np.zeros_like(s), where=live), 1.0)
+            b = q * np.where(c1 == 0, inst.w_star, 0.0)
+            a1inv = np.divide(1.0, c1, out=np.zeros_like(c1), where=c1 > 0)
+            noise2 = np.divide(c2, s * s, out=np.zeros_like(s), where=live)
+            want = [dots(m, b * b), [inst.sigma2 * float(m @ first + m @ second)
+                                     for first, second in zip(q * q * a1inv, noise2)]]
+            got = risk._conditional_sequential_onehot(c1, c2, n2, inst, gamma, weighting)
+            assert [list(g) for g in got] == want
+            c = c1 + c2
+            ainv = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
+            want = [dots(m, np.where(c == 0, inst.w_star, 0.0) ** 2), [inst.sigma2 * v for v in dots(m, ainv)]]
+            assert [list(g) for g in risk._conditional_joint_onehot(c1, c2, inst, weighting)] == want
+
     @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
     def test_bad_risk_in_a_block_raises(self, bad, monkeypatch):
         # one bad replication among nine must raise, not be averaged away
@@ -720,7 +749,9 @@ class TestOneHotCounts:
 
         def one_bad_row(*args):
             bias, variance = count_risks(*args)
-            return bias[:4] + [bad] + bias[5:], variance
+            bias = bias.copy()
+            bias[4] = bad
+            return bias, variance
 
         monkeypatch.setattr(risk, "_count_risks", one_bad_row)
         with pytest.raises(NegativeEigenvalue, match="replications 0 to 8"):

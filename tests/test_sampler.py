@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from grclab import sampler
 
 from grclab.errors import DimensionMismatch, NotAProbabilitySpectrum
-from grclab.model import make_spectrum
+from grclab.model import GUIDE_CELLS, make_spectrum
 from grclab.sampler import (
     TASK1_DESIGN,
     TASK1_NOISE,
@@ -110,6 +111,56 @@ class TestOneHotCounts:
         assert block.dtype == np.float64 and block.shape == (len(seeds), s.d)
         for row, seed in zip(block, seeds):
             assert row.tobytes() == sample_one_hot_counts(s, n, seed).tobytes()
+
+
+@st.composite
+def guide_spectra(draw):
+    """One-hot spectra from d = 1 to above ``GUIDE_CELLS``, zero-mass atoms anywhere.
+
+    "uniform" above ``GUIDE_CELLS`` atoms splits every cell of the guide
+    table, so the spectrum keeps none; "tenths" makes a cdf whose total
+    rounds to 1 - 2**-53.
+    """
+    kind = draw(st.sampled_from(["random", "uniform", "tenths"]))
+    lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if kind == "tenths":
+        body = np.full(10, 0.1)
+    else:
+        d = draw(st.sampled_from([1, 2, 5, 40, 300, GUIDE_CELLS - 1, GUIDE_CELLS, GUIDE_CELLS + 1,
+                                  2 * GUIDE_CELLS + 5]))
+        if kind == "uniform":
+            body = np.ones(d)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+            body = rng.choice([0.0, 0.0, 1e-9, 0.1, 1.0, 7.0], size=d)
+            body[[0, -1]] = 1.0  # inner zeros only; leading and trailing ones come next
+    values = np.concatenate([np.zeros(lead), body, np.zeros(trail)])
+    return kind, make_spectrum(values / math.fsum(values), one_hot=True)
+
+
+class TestGuideTable:
+    @settings(max_examples=60, deadline=None)
+    @given(case=guide_spectra(), seed=st.integers(0, 2**32))
+    def test_atoms_are_the_clamped_cdf_search(self, case, seed):
+        kind, s = case
+        edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+        points = np.concatenate([[0.0, 1 - 2**-53], s.cdf, edges])
+        u = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf),
+                            np.random.default_rng(seed).random(500)])
+        u = u[(u >= 0) & (u < 1)]  # the range of Generator.random
+        want = np.minimum(np.searchsorted(s.cdf, u, "right"), s.last_atom)
+        np.testing.assert_array_equal(sampler._one_hot_atoms(s, u), want)
+        block = np.stack([u, u[::-1]])
+        np.testing.assert_array_equal(sampler._one_hot_atoms(s, block), np.stack([want, want[::-1]]))
+        if kind == "uniform" and np.count_nonzero(s.values) > GUIDE_CELLS:
+            assert s.guide is None
+        if kind == "tenths":
+            assert s.cdf[-1] < 1
+
+    def test_table_is_kept_unless_most_cells_are_split(self):
+        # uniform atoms split one cell per inner cdf boundary
+        assert make_spectrum(np.full(400, 1 / 400), one_hot=True).guide is not None
+        assert make_spectrum(np.full(700, 1 / 700), one_hot=True).guide is None
 
 
 class TestGaussianDesign:
