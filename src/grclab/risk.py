@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -130,9 +129,20 @@ def _pinv_parts(sym: np.ndarray, cutoff_ratio: float):
     return eigvals, eigvecs, inv, keep
 
 
+def _kept_start(keep: np.ndarray) -> int:
+    """First kept column of an ascending eigh: the kept directions are its last ones."""
+    return keep.size - int(np.count_nonzero(keep))
+
+
 def _sequential_risk(rep: Replication, reg: Regularizer, weighting):
-    inst, d = rep.inst, rep.inst.d
-    cutoff = _eigen_cutoff_ratio(max(rep.n, rep.n2), d)
+    """The dense sequential risk on the kept eigenvectors U of S = A2 + n Sigma.
+
+    With D their inverse eigenvalues, S^+ = U D U^T, so Q = I - U D U^T A2
+    is applied without a d x d product: every product costs O(d^2 r) for
+    the r kept directions; only the eigh of S is d^3.
+    """
+    inst = rep.inst
+    cutoff = _eigen_cutoff_ratio(max(rep.n, rep.n2), inst.d)
     m = weight_vector(inst, weighting)
 
     eigvals1, v1 = rep.eigh_a1()
@@ -142,21 +152,25 @@ def _sequential_risk(rep: Replication, reg: Regularizer, weighting):
     p1w = v1_null @ (v1_null.T @ inst.w_star)
 
     a2 = rep.normal()[1]
-    s = a2 + rep.n2 * reg.matrix()
-    _, vs, invs, _ = _pinv_parts(s, cutoff)
-    splus = (vs * invs) @ vs.T
-    splus_a2 = splus @ a2
-    q = np.eye(d) - splus_a2
+    s = reg.matrix()
+    s *= rep.n2
+    s += a2
+    _, vs, invs, keep = _pinv_parts(s, cutoff)
+    kept = _kept_start(keep)
+    u, inv = vs[:, kept:], invs[kept:]
+    ud = u * inv
+    ua2 = u.T @ a2
 
-    b = q @ p1w
+    b = p1w - ud @ (ua2 @ p1w)
     bias = float(m @ (b * b))
 
-    # <M, Q A1^+ Q^T> through the PSD square root of A1^+.
-    a1_half = v1 * np.sqrt(inv1)
-    qa = q @ a1_half
+    # <M, Q A1^+ Q^T> through the PSD square root of A1^+ on A1's kept directions.
+    kept1 = _kept_start(keep1)
+    a1_half = v1[:, kept1:] * np.sqrt(inv1[kept1:])
+    qa = a1_half - ud @ (ua2 @ a1_half)
     var1 = float(m @ np.einsum("ij,ij->i", qa, qa))
-    # <M, S^+ A2 S^+>: diag(S^+ A2 S^+) = rowsum((S^+ A2) o S^+), S^+ symmetric.
-    var2 = float(m @ np.einsum("ij,ij->i", splus_a2, splus))
+    # <M, S^+ A2 S^+>: diag(U D C D U^T) = rowsum((U D C D) o U), C = U^T A2 U.
+    var2 = float(m @ np.einsum("ij,ij->i", ud @ (ua2 @ u) * inv, u))
     variance = inst.sigma2 * (var1 + var2)
     return RiskDecomposition(bias=bias, variance=variance)
 
@@ -170,7 +184,9 @@ def _joint_risk(rep: Replication, weighting):
     v_null = v[:, ~keep]
     pw = v_null @ (v_null.T @ inst.w_star)
     bias = float(m @ (pw * pw))
-    variance = inst.sigma2 * float(m @ np.einsum("ij,j,ij->i", v, inv, v))
+    kept = _kept_start(keep)
+    u = v[:, kept:]
+    variance = inst.sigma2 * float(m @ np.einsum("ij,j,ij->i", u, inv[kept:], u))
     return RiskDecomposition(bias=bias, variance=variance)
 
 
@@ -309,16 +325,30 @@ def _count_gamma(reg: Regularizer, d: int) -> np.ndarray | None:
 
 
 def _conditional_sequential_onehot(c1, c2, n2, inst, gamma, weighting):
-    """Sequential risks of count rows under the diagonal memory gamma, (d,) or (B, d)."""
+    """Sequential risks of count rows under the diagonal memory gamma, (d,) or (B, d).
+
+    Per coordinate, with s = c2 + n2 gamma and q = n2 gamma / s (1 where
+    s = 0): bias q^2 w*^2 where c1 = 0, variance q^2 / c1 + c2 / s^2.  The
+    terms are computed in place, in three arrays of the block's shape.
+    """
     m = weight_vector(inst, weighting)
-    s = c2 + n2 * gamma
+    ngamma = n2 * gamma
+    s = c2 + ngamma
     live = s > 0
-    q = np.where(live, np.divide(n2 * gamma, s, out=np.zeros_like(s), where=live), 1.0)
-    b = q * np.where(c1 == 0, inst.w_star, 0.0)
-    a1inv = np.divide(1.0, c1, out=np.zeros_like(c1, dtype=float), where=c1 > 0)
-    noise2 = np.divide(c2, s * s, out=np.zeros_like(s), where=live)
-    variance = inst.sigma2 * (np.vecdot(q * q * a1inv, m) + np.vecdot(noise2, m))
-    return np.vecdot(b * b, m), variance
+    seen = c1 > 0
+    q = np.ones(s.shape)
+    np.divide(ngamma, s, out=q, where=live)
+    term = np.multiply(q, inst.w_star)
+    term *= term
+    term[seen] = 0.0
+    bias = np.vecdot(term, m)
+    term.fill(0.0)
+    np.divide(1.0, c1, out=term, where=seen)
+    q *= q
+    q *= term
+    s *= s
+    np.divide(c2, s, out=s, where=live)  # s^2 = 0 where s is not live
+    return bias, inst.sigma2 * (np.vecdot(q, m) + np.vecdot(s, m))
 
 
 def _conditional_joint_onehot(c1, c2, inst, weighting):
@@ -361,7 +391,8 @@ class Replication:
     designs (X1, X2), the count pair (c1, c2) of a one-hot pair, the
     normal matrices (A1, A2) = (X1^T X1, X2^T X2) and eigh(A1).  A Monte
     Carlo replication fills them from its (seed, rep) streams.  A dense
-    Gaussian one keeps only A1, A2 and eigh(A1), 3 d^2 floats: the
+    Gaussian one keeps only A1, A2 and eigh(A1), 3 d^2 floats, and forms
+    A1 and A2 from blocks of rows without holding X1 or X2: the
     first-phase fit and every top-k memory read the same eigenpairs.  A
     one-hot one keeps only its counts, drawn without the n x d designs;
     its normal matrices are exactly diag(c1) and diag(c2), since a one-hot
@@ -407,12 +438,16 @@ class Replication:
     def _stream(self, tag: int) -> int:
         return sampler.stream_seed(self.seed, self.rep, tag)
 
+    def _draw_args(self, task: int) -> tuple:
+        """(spectrum, n, seed) of the draw of X1 (task 0) or X2 (task 1)."""
+        if task:
+            return self.inst.h, self.n, self._stream(sampler.TASK2_DESIGN)
+        return self.inst.g, self.n, self._stream(sampler.TASK1_DESIGN)
+
     def _draw(self, task: int) -> np.ndarray:
         """X1 (task 0) or X2 (task 1) drawn from its stream."""
-        spectrum = self.inst.h if task else self.inst.g
-        seed = self._stream(sampler.TASK2_DESIGN if task else sampler.TASK1_DESIGN)
         draw = sampler.sample_one_hot_design if self.one_hot else sampler.sample_gaussian_design
-        return draw(spectrum, self.n, seed)
+        return draw(*self._draw_args(task))
 
     def _design(self, task: int) -> np.ndarray:
         if self._designs is not None:
@@ -438,6 +473,9 @@ class Replication:
         """
         if self._designs is None:
             if _wide(self.inst):
+                # imported here: it loads logging, which no other path needs
+                from concurrent.futures import ThreadPoolExecutor
+
                 with ThreadPoolExecutor(max_workers=1) as helper:
                     x2 = helper.submit(self._draw, 1)
                     self._designs = (self._draw(0), x2.result())
@@ -458,8 +496,10 @@ class Replication:
     def normal(self) -> tuple[np.ndarray, np.ndarray]:
         """(A1, A2) = (X1^T X1, X2^T X2); (diag(c1), diag(c2)) of a one-hot pair.
 
-        Refused above ``NORMAL_PATH_MAX_D``, before anything is drawn: two
-        d x d matrices there take gigabytes (4.6 GB each at d = 24000).
+        A drawn Gaussian pair forms each from blocks of rows
+        (``sampler.gaussian_gram``) and never holds X1 or X2.  Refused
+        above ``NORMAL_PATH_MAX_D``, before anything is drawn: two d x d
+        matrices there take gigabytes (4.6 GB each at d = 24000).
         """
         if self._normal is None:
             _check_normal_matrices(self.inst)
@@ -468,11 +508,7 @@ class Replication:
             elif self.one_hot:
                 self._normal = tuple(np.diag(c) for c in self.counts())
             else:
-                x1 = self.x1
-                a1 = x1.T @ x1
-                del x1
-                x2 = self.x2
-                self._normal = (a1, x2.T @ x2)
+                self._normal = tuple(sampler.gaussian_gram(*self._draw_args(task)) for task in (0, 1))
         return self._normal
 
     def eigh_a1(self):

@@ -9,7 +9,8 @@ and ``pcg64_words`` run SeedSequence's hash for many replications at once
 in uint32 array arithmetic, and each replication's generator starts from
 the PCG64 words that ``numpy.random.default_rng`` would derive from its
 seed, so a block draws exactly what the replications would draw one by
-one.
+one.  ``gaussian_gram`` forms X^T X of a Gaussian design from blocks of
+its rows, so the n x d design is never held.
 """
 
 from __future__ import annotations
@@ -215,6 +216,46 @@ def sample_gaussian_design(s: Spectrum, n: int, seed) -> np.ndarray:
     z = _rng(seed).standard_normal((n, s.d))
     z *= np.sqrt(s.values)
     return z
+
+
+# Rows per block of ``gaussian_gram``: 1.6 MB of rows at d = 200.
+GRAM_BLOCK_ROWS = 1024
+
+
+def _gaussian_row_blocks(s: Spectrum, n: int, seed):
+    """The rows of ``sample_gaussian_design(s, n, seed)``, ``GRAM_BLOCK_ROWS`` at a time.
+
+    Every block is written into one reused array, valid until the next
+    step.  numpy fills ``standard_normal`` in order from the same
+    generator, so the rows are those of the whole draw, byte for byte.
+    """
+    rng = _rng(seed)
+    root = np.sqrt(s.values)
+    block = np.empty((min(n, GRAM_BLOCK_ROWS), s.d))
+    for start in range(0, n, GRAM_BLOCK_ROWS):
+        rows = block[: min(GRAM_BLOCK_ROWS, n - start)]
+        rng.standard_normal(out=rows)
+        rows *= root
+        yield rows
+
+
+def gaussian_gram(s: Spectrum, n: int, seed) -> np.ndarray:
+    """X^T X of X = ``sample_gaussian_design(s, n, seed)``, without holding X.
+
+    The blocks' products are summed in order.  Up to one block it is the
+    product of the whole draw, byte for byte; above, it differs from that
+    product at the rounding level.
+    """
+    if n < 1:
+        raise DimensionMismatch(f"need n >= 1, got {n}")
+    blocks = _gaussian_row_blocks(s, n, seed)
+    rows = next(blocks)
+    gram = rows.T @ rows
+    product = None
+    for rows in blocks:
+        product = np.matmul(rows.T, rows, out=product)
+        gram += product
+    return gram
 
 
 def sample_labels(x: np.ndarray, w_star: np.ndarray, sigma2: float, seed) -> np.ndarray:

@@ -375,7 +375,7 @@ class TestWidePath:
         def no_draw(*args):
             raise AssertionError("a design was drawn")
 
-        for name in ("sample_gaussian_design", "sample_one_hot_design", "sample_one_hot_counts",
+        for name in ("sample_gaussian_design", "gaussian_gram", "sample_one_hot_design", "sample_one_hot_counts",
                      "sample_one_hot_count_block"):
             monkeypatch.setattr(sampler, name, no_draw)
         out = tmp_path / "n.csv"

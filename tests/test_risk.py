@@ -442,6 +442,55 @@ class TestDenseFormulas:
         with pytest.raises(KTooLarge):
             pair.topk(7)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 9), n1=st.integers(1, 14), n2=st.integers(1, 14),
+        memory=st.sampled_from(["zero", "diagonal", "lowrank", "topk"]),
+        one_hot=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kept_eigenvector_engine_matches_reference(self, d, n1, n2, memory, one_hot, seed):
+        # n1, n2 below and above d; one-hot pairs as diag(c1), diag(c2), zero counts included
+        rng = np.random.default_rng(seed)
+        inst = one_hot_instance(rng, d) if one_hot else gaussian_instance(rng, d)
+        draw = sample_one_hot_design if one_hot else sample_gaussian_design
+        x1 = draw(inst.g, n1, int(rng.integers(2**31)))
+        x2 = draw(inst.h, n2, int(rng.integers(2**31)))
+        if one_hot:
+            pair = Replication.of_counts(inst, x1.sum(axis=0), x2.sum(axis=0))
+            assert np.array_equal(pair.normal()[0], x1.T @ x1)
+        else:
+            pair = Replication.of_designs(inst, x1, x2)
+        reg = {
+            "zero": lambda: zero_regularizer(d),
+            "diagonal": lambda: Regularizer(form="diagonal", values=rng.choice([0.0, 0.2, 1.5], d)),
+            "lowrank": lambda: Regularizer(form="lowrank",
+                                           factor=rng.standard_normal((int(rng.integers(1, d + 1)), d))),
+            "topk": lambda: pair.topk(int(rng.integers(0, min(n1, d) + 1))),
+        }[memory]()
+        for weighting in RiskWeighting:
+            bias, variance = reference_sequential_dense(x1, x2, inst, reg.matrix(), weight_vector(inst, weighting))
+            dec = risk._sequential_risk(pair, reg, weighting)
+            assert dec.bias == pytest.approx(bias, rel=1e-9, abs=1e-12)
+            assert dec.variance == pytest.approx(variance, rel=1e-9, abs=1e-12)
+
+    def test_matches_reference_where_most_directions_are_dropped(self):
+        # P(15) at d = 200, n = 5000: about 40 of S's 200 directions pass the cutoff
+        inst = make_problem_pk(15, 200, Design.GAUSSIAN)
+        drawn = Replication(inst, 5000, 1, 0)
+        x1, x2 = drawn.x1, drawn.x2
+        pair = Replication.of_designs(inst, x1, x2)
+        cutoff = _eigen_cutoff_ratio(5000, 200)
+        for reg, most_dropped in ((zero_regularizer(200), True), (pair.topk(5), True), (pair.topk(15), True),
+                                  (Regularizer(form="diagonal", values=np.full(200, 0.1)), False)):
+            vals = np.linalg.eigh(x2.T @ x2 + 5000 * reg.matrix())[0]
+            assert (np.count_nonzero(vals > cutoff * vals[-1]) < 200 / 2) == most_dropped
+            for weighting in RiskWeighting:
+                m = weight_vector(inst, weighting)
+                bias, variance = reference_sequential_dense(x1, x2, inst, reg.matrix(), m)
+                dec = risk._sequential_risk(pair, reg, weighting)
+                assert dec.bias == pytest.approx(bias, rel=1e-9, abs=1e-12)
+                assert dec.variance == pytest.approx(variance, rel=1e-9, abs=1e-12)
+
 
 def shared_algorithms(d):
     fixed = Regularizer(form="lowrank", factor=np.linspace(0.1, 0.6, 2 * d).reshape(2, d))
@@ -487,22 +536,39 @@ class TestSharedReplications:
             assert est.mean == pytest.approx(ref.mean, rel=1e-10)
 
     def test_dense_rows_draw_each_design_once(self, monkeypatch):
-        calls = []
-        draw = sampler.sample_gaussian_design
+        designs, grams = [], []
 
-        def counted(s, n, seed):
-            calls.append(seed)
-            return draw(s, n, seed)
+        def counted(calls, draw):
+            def recorded(s, n, seed):
+                calls.append(seed)
+                return draw(s, n, seed)
+            return recorded
 
-        monkeypatch.setattr(sampler, "sample_gaussian_design", counted)
+        monkeypatch.setattr(sampler, "sample_gaussian_design", counted(designs, sampler.sample_gaussian_design))
+        monkeypatch.setattr(sampler, "gaussian_gram", counted(grams, sampler.gaussian_gram))
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
         shared = Replications(inst, 12, 3, seed=5)
         for algorithm in (OCL(), Joint(), L2RCL(0.2), GRCL(builder=TopK(3))):
             monte_carlo_expected_excess(inst, algorithm, 12, 3, 5, replications=shared)
-        assert len(calls) == 2 * 3 == len(set(calls))
+        # one Gram draw per replication and task, and no design held
+        assert len(grams) == 2 * 3 == len(set(grams))
+        assert designs == []
         # a builder that needs X1 itself draws it again, per row
         monte_carlo_expected_excess(inst, GRCL(builder=Sketch(2)), 12, 3, 5, replications=shared)
-        assert len(calls) == 3 * 3
+        assert len(designs) == 3 == len(set(designs)) and set(designs) < set(grams)
+        assert len(grams) == 2 * 3
+
+    def test_dense_normal_matrices_hold_no_design(self):
+        # X1 alone would be n d 8 bytes (32 MB); a block of rows is 1.6 MB
+        d, n = 200, 20000
+        replication = Replication(make_problem_pk(15, d, Design.GAUSSIAN), n, 1, 0)
+        tracemalloc.start()
+        try:
+            replication.normal()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
 
     def test_kept_replication_decomposes_a1_once(self, monkeypatch):
         # the first-phase fit and every top-k memory read one eigh(A1);
@@ -879,7 +945,7 @@ class TestWidePath:
         def no_draw(*args):
             raise AssertionError("a design was drawn")
 
-        for name in ("sample_gaussian_design", "sample_one_hot_design", "sample_one_hot_counts",
+        for name in ("sample_gaussian_design", "gaussian_gram", "sample_one_hot_design", "sample_one_hot_counts",
                      "sample_one_hot_count_block"):
             monkeypatch.setattr(sampler, name, no_draw)
         replication = Replication(make_problem_pk(3, 4100, design), 5, 1, 0)
@@ -1014,6 +1080,7 @@ class TestFailFast:
             raise AssertionError("drew a design")
 
         monkeypatch.setattr(sampler, "sample_gaussian_design", no_draw)
+        monkeypatch.setattr(sampler, "gaussian_gram", no_draw)
         inst = make_problem_pk(3, 8, design)
         with pytest.raises(error):
             check_algorithm(algorithm, inst, n)
@@ -1025,6 +1092,7 @@ class TestFailFast:
             raise AssertionError("drew a design")
 
         monkeypatch.setattr(sampler, "sample_gaussian_design", no_draw)
+        monkeypatch.setattr(sampler, "gaussian_gram", no_draw)
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
         with pytest.raises(DimensionMismatch):
             Replications(inst, 10, 3, seed=-1)

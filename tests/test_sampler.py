@@ -16,6 +16,8 @@ from grclab.sampler import (
     TASK2_DESIGN,
     TASK2_NOISE,
     REGULARIZER_STREAM,
+    GRAM_BLOCK_ROWS,
+    gaussian_gram,
     sample_gaussian_design,
     sample_labels,
     sample_one_hot_count_block,
@@ -185,6 +187,31 @@ class TestGaussianDesign:
         x = sample_gaussian_design(s, 11, seed=5)
         z = np.random.default_rng(5).standard_normal((11, 37))
         assert x.tobytes() == (z * np.sqrt(s.values)).tobytes()
+
+
+class TestGaussianGram:
+    @pytest.mark.parametrize("n", [1, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS, GRAM_BLOCK_ROWS + 1,
+                                   3 * GRAM_BLOCK_ROWS + 7])
+    def test_blocks_are_the_whole_draw(self, n):
+        s = make_spectrum(np.random.default_rng(2).uniform(0.1, 3.0, 23))
+        x = sample_gaussian_design(s, n, seed=11)
+        blocks = [rows.copy() for rows in sampler._gaussian_row_blocks(s, n, 11)]
+        assert [len(rows) for rows in blocks[:-1]] == [GRAM_BLOCK_ROWS] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == x.tobytes()
+        gram, want = gaussian_gram(s, n, 11), x.T @ x
+        if n <= GRAM_BLOCK_ROWS:
+            assert gram.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(gram - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_zero_covariance_is_the_product_bytes(self):
+        s = make_spectrum([0.0, 0.0, 0.0])
+        x = sample_gaussian_design(s, 5, seed=0)
+        assert gaussian_gram(s, 5, 0).tobytes() == (x.T @ x).tobytes()
+
+    def test_empty_draw_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            gaussian_gram(make_spectrum([1.0]), 0, 0)
 
 
 class TestLabels:
