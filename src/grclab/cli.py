@@ -58,9 +58,9 @@ _ALGORITHM_TOKENS = {
     "ocl": OCL,
     "joint": Joint,
     "l2rcl": lambda gamma: L2RCL(float(gamma)),
-    "grcl:topk": lambda k: GRCL(builder=TopK(int(k))),
-    "grcl:sketch": lambda k: GRCL(builder=Sketch(int(k))),
-    "grcl:freq": lambda: GRCL(builder=Frequency()),
+    "grcl:topk": lambda k: TopK(int(k)),
+    "grcl:sketch": lambda k: Sketch(int(k)),
+    "grcl:freq": Frequency,
 }
 
 
@@ -209,7 +209,7 @@ def _run_cells(config: ExperimentConfig, cells: list) -> str:
             estimate, decomp = monte_carlo_expected_excess(
                 inst, algorithm, n, reps, seed, replications=shared
             )
-            k = "".join(algorithm.label.split(":")[2:])  # the k of grcl:<builder>:<k>
+            k = "".join(algorithm.label.split(":")[2:])  # the k of grcl:<memory>:<k>
             values = map(_fmt, (estimate.mean, estimate.std_error, decomp.bias, decomp.variance))
             theory = _theory_columns(algorithm, inst, n)
             rows[row] = ",".join([column, str(n), k, str(reps), *values, *theory])
@@ -232,16 +232,16 @@ def run_sweep_n(config: ExperimentConfig) -> str:
 def run_sweep_k(config: ExperimentConfig) -> str:
     """Memory sweep at fixed n: one GRCL row per k, plus ocl/joint baselines.
 
-    The k rows vary the k of the first configured grcl builder (top-k when
-    there is none).  All rows share one set of replications.
+    The k rows vary the k of the first configured grcl algorithm (top-k
+    when there is none).  All rows share one set of replications.
     """
     if not config.k_values:
         raise ConfigParse("sweep-k needs a nonempty k_values list")
-    base = next((a.builder for a in config.algorithms if a.name == "grcl"), TopK(0))
-    if not hasattr(base, "k"):
+    base = next((a for a in config.algorithms if a.name == "grcl"), TopK(0))
+    if not isinstance(base, (TopK, Sketch)):
         raise ConfigParse("sweep-k needs a grcl regularizer with a k (topk or sketch)")
     try:
-        algorithms = [GRCL(builder=dataclasses.replace(base, k=k)) for k in config.k_values]
+        algorithms = [dataclasses.replace(base, k=k) for k in config.k_values]
     except GrclabError as exc:
         raise ConfigParse(f"sweep-k: {exc}") from exc
     algorithms += [OCL(), Joint()]

@@ -126,7 +126,7 @@ def exact_one_hot_expected_excess(
     count engine where the counts determine the risk, else each as a
     count :class:`grclab.risk.Replication`.  Only count-determined
     algorithms are meaningful here (all four standard ones are); a
-    builder that reads rows gets them in atom order, and one that draws
+    memory that reads rows gets them in atom order, and one that draws
     gets the memory seed of stream (seed 0, replication 0) for every pair.
     """
     if inst.design is not Design.ONE_HOT:

@@ -365,17 +365,6 @@ def _one_row(risks) -> RiskDecomposition:
     return RiskDecomposition(bias=float(bias), variance=float(variance))
 
 
-def _design_words(seed: int, reps) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 words of the task-1 and task-2 design streams of the replications ``reps``, one row each."""
-    return tuple(sampler.pcg64_words(sampler.stream_seeds(seed, reps, tag))
-                 for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN))
-
-
-def _draw_count_rows(inst: ProblemInstance, n: int, words) -> tuple[np.ndarray, np.ndarray]:
-    """(c1, c2) rows of the one-hot replications whose design streams start from ``words``."""
-    return tuple(sampler.sample_one_hot_count_block(s, n, w) for s, w in zip((inst.g, inst.h), words))
-
-
 # -- one pair of designs, and the one choice among the three paths ------------------
 
 
@@ -400,7 +389,7 @@ class Replication:
     caller-held designs or counts (``of_designs``, ``of_counts``) starts
     with that cache filled, and has the memory seed of (seed 0, rep 0).
 
-    ``x1`` serves a builder that reads rows: a held X1, else X1 drawn
+    ``x1`` serves a memory that reads rows: a held X1, else X1 drawn
     again from its seed, else the rows of c1.  ``sequential_risk`` and
     ``joint_risk`` choose the path by the declared design: the counts for
     one-hot, the n x n Gram path for Gaussian above ``NORMAL_PATH_MAX_D``,
@@ -489,8 +478,7 @@ class Replication:
             if self._designs is not None:
                 self._counts = tuple(x.sum(axis=0) for x in self._designs)
             else:
-                rows = _draw_count_rows(self.inst, self.n, _design_words(self.seed, [self.rep]))
-                self._counts = tuple(c[0] for c in rows)
+                self._counts = tuple(sampler.sample_one_hot_counts(*self._draw_args(task)) for task in (0, 1))
         return self._counts
 
     def normal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -516,10 +504,6 @@ class Replication:
         if self._eig_a1 is None:
             self._eig_a1 = np.linalg.eigh(self.normal()[0])
         return self._eig_a1
-
-    def topk(self, k: int) -> Regularizer:
-        """The top-k memory of X1, same as ``topk_empirical(x1, k)``."""
-        return topk_from_eigh(self.eigh_a1, self.n, self.inst.d, k)
 
     def sequential_risk(self, memory, weighting: RiskWeighting) -> RiskDecomposition:
         reg = _as_regularizer(memory, self.inst.d)
@@ -579,8 +563,9 @@ def conditional_risk_joint(x1, x2, inst: ProblemInstance,
 # -- algorithms ---------------------------------------------------------------
 #
 # Each algorithm owns its label, check and risk.  It reads a replication
-# through ``inst``, ``n``, ``x1``, ``memory_seed``, ``topk(k)``,
-# ``sequential_risk(memory, weighting)`` and ``joint_risk(weighting)``.
+# through ``inst``, ``n``, ``x1``, ``memory_seed``, ``eigh_a1()``,
+# ``counts()``, ``sequential_risk(memory, weighting)`` and
+# ``joint_risk(weighting)``.
 
 
 class _Sequential:
@@ -592,6 +577,10 @@ class _Sequential:
     def memory(self, rep) -> Regularizer:
         """Sigma for ``rep``; a memory that ignores the data is its population analog."""
         return self.population_memory(rep.inst, rep.n)
+
+    def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer | None:
+        """The population analog of ``memory``; None where there is none."""
+        return None
 
     def risk(self, rep, weighting: RiskWeighting) -> RiskDecomposition:
         return rep.sequential_risk(self.memory(rep), weighting)
@@ -640,48 +629,39 @@ class L2RCL(_Sequential):
 class GRCL(_Sequential):
     """Sequential learning with a memory matrix, fixed or built from X1.
 
-    A builder is a callable ``(x1, seed) -> Regularizer`` or has a
-    ``memory(rep)`` that reads the replication, as ``TopK`` and
-    ``Frequency`` do.  It may carry a ``label``, a ``check(inst, n)`` and
-    a ``population(inst, n)`` analog for the one-hot theory, as ``TopK``,
-    ``Sketch`` and ``Frequency`` do.
+    A builder is a plain callable ``(x1, seed) -> Regularizer``, called
+    with each replication's task-1 rows and memory seed.  ``TopK``,
+    ``Sketch`` and ``Frequency`` are GRCL with a built-in memory, each its
+    own algorithm.
     """
 
     regularizer: Regularizer | None = None
     builder: Callable[[np.ndarray, int], Regularizer] | None = None
     name: ClassVar[str] = "grcl"
+    label: ClassVar[str] = "grcl"
 
     def __post_init__(self):
         if (self.regularizer is None) == (self.builder is None):
             raise DimensionMismatch("provide exactly one of regularizer, builder")
-
-    @property
-    def label(self) -> str:
-        return f"grcl:{self.builder.label}" if hasattr(self.builder, "label") else "grcl"
+        if self.builder is not None and not callable(self.builder):
+            raise DimensionMismatch(f"builder must be a callable (x1, seed), got {type(self.builder).__name__}")
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         reg = self.regularizer
-        if reg is not None:
-            if reg.d != inst.d:
-                raise DimensionMismatch(f"Sigma has d={reg.d}, instance has d={inst.d}")
-            if not (reg.is_zero or (reg.is_diagonal and inst.design is Design.ONE_HOT)):
-                _check_normal_matrices(inst)
-        elif hasattr(self.builder, "check"):
-            self.builder.check(inst, n)
-        elif not hasattr(self.builder, "memory"):
-            _check_normal_matrices(inst)  # a plain (x1, seed) callable may return any memory
+        if reg is None:
+            _check_normal_matrices(inst)  # a builder may return any memory
+        elif reg.d != inst.d:
+            raise DimensionMismatch(f"Sigma has d={reg.d}, instance has d={inst.d}")
+        elif not (reg.is_zero or (reg.is_diagonal and inst.design is Design.ONE_HOT)):
+            _check_normal_matrices(inst)
 
     def memory(self, rep) -> Regularizer:
         if self.builder is None:
             return self.regularizer
-        if hasattr(self.builder, "memory"):
-            return self.builder.memory(rep)
         return self.builder(rep.x1, rep.memory_seed)
 
     def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer | None:
-        if self.builder is None:
-            return self.regularizer
-        return self.builder.population(inst, n) if hasattr(self.builder, "population") else None
+        return self.regularizer
 
 
 @dataclass(frozen=True)
@@ -702,32 +682,35 @@ class Joint:
 
 
 @dataclass(frozen=True)
-class TopK:
-    """Builder of the rank-k truncation of the empirical task-1 covariance."""
+class TopK(_Sequential):
+    """GRCL with the rank-k truncation of the empirical task-1 covariance."""
 
     k: int
+    name: ClassVar[str] = "grcl"
 
     @property
     def label(self) -> str:
-        return f"topk:{self.k}"
+        return f"grcl:topk:{self.k}"
 
     def memory(self, rep) -> Regularizer:
-        return rep.topk(self.k)  # the eigenpairs of the first-phase fit
+        # the eigenpairs of the first-phase fit
+        return topk_from_eigh(rep.eigh_a1, rep.n, rep.inst.d, self.k)
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         check_topk_size(self.k, n, inst.d)
         if self.k:
             _check_normal_matrices(inst)
 
-    def population(self, inst: ProblemInstance, n: int) -> Regularizer:
+    def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer:
         return topk_spectrum_regularizer(inst.g, self.k)
 
 
 @dataclass(frozen=True)
-class Sketch:
-    """Builder of the k-row CountSketch of the task-1 data; no population analog."""
+class Sketch(_Sequential):
+    """GRCL with the k-row CountSketch of the task-1 data; no population analog."""
 
     k: int
+    name: ClassVar[str] = "grcl"
 
     def __post_init__(self):
         if self.k < 1:
@@ -735,20 +718,21 @@ class Sketch:
 
     @property
     def label(self) -> str:
-        return f"sketch:{self.k}"
+        return f"grcl:sketch:{self.k}"
 
-    def __call__(self, x1: np.ndarray, seed) -> Regularizer:
-        return sketch_regularizer(x1, self.k, seed)
+    def memory(self, rep) -> Regularizer:
+        return sketch_regularizer(rep.x1, self.k, rep.memory_seed)
 
     def check(self, inst: ProblemInstance, n: int) -> None:
         _check_normal_matrices(inst)
 
 
 @dataclass(frozen=True)
-class Frequency:
-    """Builder of the observed-atom frequencies of one-hot task-1 data."""
+class Frequency(_Sequential):
+    """GRCL with the observed-atom frequencies of one-hot task-1 data."""
 
-    label: ClassVar[str] = "freq"
+    name: ClassVar[str] = "grcl"
+    label: ClassVar[str] = "grcl:freq"
 
     def memory(self, rep) -> Regularizer:
         return Regularizer(form="diagonal", values=_count_frequencies(rep.counts()[0], rep.n))
@@ -757,7 +741,7 @@ class Frequency:
         if inst.design is not Design.ONE_HOT:
             raise NotOneHotDesign("observed-atom frequencies need a one-hot design")
 
-    def population(self, inst: ProblemInstance, n: int) -> Regularizer:
+    def population_memory(self, inst: ProblemInstance, n: int) -> Regularizer:
         return corollary3_regularizer(inst.g, n)
 
 
@@ -772,14 +756,14 @@ def _count_risks(algorithm, c1, c2, inst: ProblemInstance, n: int, weighting: Ri
     """Biases and variances of ``algorithm`` on one-hot count rows c1, c2 (B x d).
 
     None where the counts do not determine them.  ``Joint``, ``OCL``,
-    ``L2RCL``, a fixed zero or diagonal ``GRCL`` memory and the
-    ``Frequency`` builder are read from the counts; types match exactly,
-    since a subclass may read more of a replication than its counts.
+    ``L2RCL``, a fixed zero or diagonal ``GRCL`` memory and ``Frequency``
+    are read from the counts; types match exactly, since a subclass may
+    read more of a replication than its counts.
     """
     kind = type(algorithm)
     if kind is Joint:
         return _conditional_joint_onehot(c1, c2, inst, weighting)
-    if kind is GRCL and type(algorithm.builder) is Frequency:
+    if kind is Frequency:
         gamma = _count_frequencies(c1, n)
     elif kind in (OCL, L2RCL) or (kind is GRCL and algorithm.builder is None):
         gamma = _count_gamma(algorithm.population_memory(inst, n), inst.d)
@@ -860,10 +844,13 @@ class Replications:
             run, words = self._words
             if words is None or not run <= start < run + len(words[0]):
                 run = start
-                words = _design_words(self.seed, np.arange(run, min(run + self._run_rows, self.reps)))
+                reps = np.arange(run, min(run + self._run_rows, self.reps))
+                words = tuple(sampler.pcg64_words(sampler.stream_seeds(self.seed, reps, tag))
+                              for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN))
                 self._words = (run, words)
             block = slice(start - run, start - run + self._block_rows)
-            rows = _draw_count_rows(self.inst, self.n, tuple(w[block] for w in words))
+            rows = tuple(sampler.sample_one_hot_count_block(s, self.n, w[block])
+                         for s, w in zip((self.inst.g, self.inst.h), words))
             self._block = (start, rows)
         return rows
 

@@ -86,8 +86,8 @@ class TestConfig:
 
     def test_good_algorithm_tokens(self):
         assert parse_algorithm_spec("l2rcl:0.5").gamma == 0.5
-        assert parse_algorithm_spec("grcl:topk:4").builder == TopK(4)
-        assert parse_algorithm_spec("grcl:freq").builder == Frequency()
+        assert parse_algorithm_spec("grcl:topk:4") == TopK(4)
+        assert parse_algorithm_spec("grcl:freq") == Frequency()
 
     @pytest.mark.parametrize("token, label", [
         ("ocl", "ocl"),

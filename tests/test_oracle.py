@@ -186,7 +186,7 @@ def enumeration_algorithms(d):
     diagonal = Regularizer(form="diagonal", values=np.linspace(0.0, 0.8, d))
     return [
         OCL(), L2RCL(0.3), GRCL(regularizer=diagonal), GRCL(regularizer=lowrank),
-        GRCL(builder=Frequency()), GRCL(builder=TopK(1)), GRCL(builder=TopK(0)), Joint(),
+        Frequency(), TopK(1), TopK(0), Joint(),
     ]
 
 
@@ -205,12 +205,14 @@ def design_reference(inst, n, algorithm, weighting):
                     sigma = None
                 elif isinstance(algorithm, L2RCL):
                     sigma = Regularizer(form="diagonal", values=np.full(inst.d, algorithm.gamma))
+                elif isinstance(algorithm, TopK):
+                    sigma = topk_empirical(x1, algorithm.k)
+                elif isinstance(algorithm, Frequency):
+                    sigma = Regularizer(form="diagonal", values=x1.sum(axis=0) / n)
+                elif isinstance(algorithm, Sketch):
+                    sigma = sketch_regularizer(x1, algorithm.k, memory_seed)
                 elif algorithm.regularizer is not None:
                     sigma = algorithm.regularizer
-                elif isinstance(algorithm.builder, TopK):
-                    sigma = topk_empirical(x1, algorithm.builder.k)
-                elif isinstance(algorithm.builder, Frequency):
-                    sigma = Regularizer(form="diagonal", values=x1.sum(axis=0) / n)
                 else:
                     sigma = algorithm.builder(x1, memory_seed)
                 dec = conditional_risk(x1, x2, inst, sigma, weighting)
@@ -233,7 +235,7 @@ class TestCountPairs:
     def test_exact_values_equal_the_design_reference(self):
         for inst, n in random_small_instances():
             algorithms = enumeration_algorithms(inst.d) + [
-                GRCL(builder=Sketch(2)),
+                Sketch(2),
                 GRCL(builder=lambda x1, seed: sketch_regularizer(x1[::-1], 2, seed + 1)),
             ]
             for algorithm in algorithms:

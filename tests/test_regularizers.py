@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from grclab.errors import KTooLarge, NotOneHotDesign, NotPSD
 from grclab.estimators import Weights, fit_grcl
 from grclab.model import Design, ProblemInstance, make_problem_pk, make_spectrum
 from grclab.regularizers import (
+    _SKETCH_BLOCK_ROWS,
     Regularizer,
     corollary3_regularizer,
     sketch_regularizer,
@@ -12,7 +15,7 @@ from grclab.regularizers import (
     topk_spectrum_regularizer,
     zero_regularizer,
 )
-from grclab.risk import GRCL, Frequency, Replication, check_algorithm
+from grclab.risk import Frequency, Replication, check_algorithm
 from grclab.sampler import sample_one_hot_counts
 
 
@@ -78,7 +81,7 @@ class TestOnehotFrequency:
 
     def test_rejects_dense_rows(self):
         with pytest.raises(NotOneHotDesign):
-            check_algorithm(GRCL(builder=Frequency()), make_problem_pk(1, 2, Design.GAUSSIAN), 3)
+            check_algorithm(Frequency(), make_problem_pk(1, 2, Design.GAUSSIAN), 3)
 
     def test_capture_probability_above_threshold(self):
         # coordinates with mu > 10/n survive with probability 1 - (1-mu)^n
@@ -148,6 +151,31 @@ class TestSketch:
         b = sketch_regularizer(x1, 2, seed=11)
         np.testing.assert_array_equal(a.factor, b.factor)
         assert a.memory_size == 2
+
+    @pytest.mark.parametrize("n", [1, _SKETCH_BLOCK_ROWS - 1, _SKETCH_BLOCK_ROWS, _SKETCH_BLOCK_ROWS + 1,
+                                   3 * _SKETCH_BLOCK_ROWS + 7])
+    def test_blocks_add_as_one_whole_array_call(self, n):
+        x1 = np.random.default_rng(n).standard_normal((n, 5))
+        for k, seed in ((1, 0), (3, 8), (7, 21)):
+            rng = np.random.default_rng(seed)
+            rows = rng.integers(0, k, size=n)
+            signs = rng.choice(np.array([-1.0, 1.0]), size=n)
+            factor = np.zeros((k, 5))
+            np.add.at(factor, rows, signs[:, None] * x1)
+            want = factor / np.sqrt(n)
+            assert sketch_regularizer(x1, k, seed).factor.tobytes() == want.tobytes()
+
+    def test_makes_no_copy_of_the_design(self):
+        # a signed copy of X1 alone would be n d 8 bytes (26 MB); a block of rows is 1.6 MB
+        n, d = 16 * _SKETCH_BLOCK_ROWS, 200
+        x1 = np.random.default_rng(5).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            sketch_regularizer(x1, 4, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
 
 
 class TestRegularizerType:

@@ -361,7 +361,7 @@ class TestMonteCarlo:
     def test_grcl_builder_runs(self):
         inst = make_problem_pk(2, 6, Design.GAUSSIAN)
         est, dec = monte_carlo_expected_excess(
-            inst, GRCL(builder=TopK(2)), 40, 4, seed=3
+            inst, TopK(2), 40, 4, seed=3
         )
         assert est.mean > 0
         assert dec.total == pytest.approx(dec.bias + dec.variance, rel=1e-9)
@@ -438,9 +438,9 @@ class TestDenseFormulas:
         x1 = rng.standard_normal((15, 6))
         pair = Replication.of_designs(gaussian_instance(rng, 6), x1, rng.standard_normal((15, 6)))
         for k in range(7):
-            np.testing.assert_array_equal(pair.topk(k).matrix(), topk_empirical(x1, k).matrix())
+            np.testing.assert_array_equal(TopK(k).memory(pair).matrix(), topk_empirical(x1, k).matrix())
         with pytest.raises(KTooLarge):
-            pair.topk(7)
+            TopK(7).memory(pair)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -465,7 +465,7 @@ class TestDenseFormulas:
             "diagonal": lambda: Regularizer(form="diagonal", values=rng.choice([0.0, 0.2, 1.5], d)),
             "lowrank": lambda: Regularizer(form="lowrank",
                                            factor=rng.standard_normal((int(rng.integers(1, d + 1)), d))),
-            "topk": lambda: pair.topk(int(rng.integers(0, min(n1, d) + 1))),
+            "topk": lambda: TopK(int(rng.integers(0, min(n1, d) + 1))).memory(pair),
         }[memory]()
         for weighting in RiskWeighting:
             bias, variance = reference_sequential_dense(x1, x2, inst, reg.matrix(), weight_vector(inst, weighting))
@@ -480,7 +480,8 @@ class TestDenseFormulas:
         x1, x2 = drawn.x1, drawn.x2
         pair = Replication.of_designs(inst, x1, x2)
         cutoff = _eigen_cutoff_ratio(5000, 200)
-        for reg, most_dropped in ((zero_regularizer(200), True), (pair.topk(5), True), (pair.topk(15), True),
+        for reg, most_dropped in ((zero_regularizer(200), True), (TopK(5).memory(pair), True),
+                                  (TopK(15).memory(pair), True),
                                   (Regularizer(form="diagonal", values=np.full(200, 0.1)), False)):
             vals = np.linalg.eigh(x2.T @ x2 + 5000 * reg.matrix())[0]
             assert (np.count_nonzero(vals > cutoff * vals[-1]) < 200 / 2) == most_dropped
@@ -499,9 +500,9 @@ def shared_algorithms(d):
         Joint(),
         L2RCL(0.3),
         GRCL(regularizer=fixed),
-        GRCL(builder=TopK(2)),
-        GRCL(builder=TopK(0)),
-        GRCL(builder=Sketch(3)),
+        TopK(2),
+        TopK(0),
+        Sketch(3),
         GRCL(builder=lambda x1, seed: topk_empirical(x1, 1)),
     ]
 
@@ -515,7 +516,7 @@ class TestSharedReplications:
         shared = Replications(inst, n, 4, seed=11)
         algorithms = shared_algorithms(d)
         if design is Design.ONE_HOT:
-            algorithms.append(GRCL(builder=Frequency()))
+            algorithms.append(Frequency())
         for weighting in RiskWeighting:
             for algorithm in algorithms:
                 est, dec = monte_carlo_expected_excess(
@@ -548,13 +549,13 @@ class TestSharedReplications:
         monkeypatch.setattr(sampler, "gaussian_gram", counted(grams, sampler.gaussian_gram))
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
         shared = Replications(inst, 12, 3, seed=5)
-        for algorithm in (OCL(), Joint(), L2RCL(0.2), GRCL(builder=TopK(3))):
+        for algorithm in (OCL(), Joint(), L2RCL(0.2), TopK(3)):
             monte_carlo_expected_excess(inst, algorithm, 12, 3, 5, replications=shared)
         # one Gram draw per replication and task, and no design held
         assert len(grams) == 2 * 3 == len(set(grams))
         assert designs == []
-        # a builder that needs X1 itself draws it again, per row
-        monte_carlo_expected_excess(inst, GRCL(builder=Sketch(2)), 12, 3, 5, replications=shared)
+        # a memory that needs X1 itself draws it again, per row
+        monte_carlo_expected_excess(inst, Sketch(2), 12, 3, 5, replications=shared)
         assert len(designs) == 3 == len(set(designs)) and set(designs) < set(grams)
         assert len(grams) == 2 * 3
 
@@ -584,7 +585,7 @@ class TestSharedReplications:
         reps = 2
         shared = Replications(inst, 12, reps, seed=5)
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        rows = [GRCL(builder=TopK(k)) for k in (1, 2, 3)] + [OCL()]
+        rows = [TopK(k) for k in (1, 2, 3)] + [OCL()]
         for algorithm in rows:
             monte_carlo_expected_excess(inst, algorithm, 12, reps, 5, replications=shared)
         assert len(args) == reps * (1 + len(rows))
@@ -594,7 +595,7 @@ class TestSharedReplications:
 
     def test_memory_budget_keeps_results(self):
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
-        algorithm = GRCL(builder=TopK(2))
+        algorithm = TopK(2)
         kept = Replications(inst, 12, 4, seed=5)
         partial = Replications(inst, 12, 4, seed=5, memory_bytes=2 * 3 * 8 * 8 * 8)
         a, _ = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=kept)
@@ -638,7 +639,7 @@ class TestSharedReplications:
         inst = make_problem_pk(3, 8, Design.GAUSSIAN)
         shared = Replications(inst, 12, 4, seed=5, memory_bytes=3 * 3 * 8 * 8 * 8)
         assert shared._kept == {}
-        for algorithm in (OCL(), GRCL(builder=TopK(2)), Joint()):
+        for algorithm in (OCL(), TopK(2), Joint()):
             est, dec = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5, replications=shared)
             ref_est, ref_dec = monte_carlo_expected_excess(inst, algorithm, 12, 4, 5)
             got = (est.mean, est.std_error, dec.bias, dec.variance)
@@ -669,8 +670,8 @@ def count_path_algorithms(d):
     diagonal = Regularizer(form="diagonal", values=np.linspace(0.0, 0.8, d))
     lowrank = Regularizer(form="lowrank", factor=np.linspace(0.1, 0.6, 2 * d).reshape(2, d))
     return [
-        OCL(), L2RCL(0.3), GRCL(regularizer=diagonal), GRCL(builder=Frequency()), Joint(),
-        GRCL(regularizer=lowrank), GRCL(builder=TopK(2)), GRCL(builder=TopK(0)),
+        OCL(), L2RCL(0.3), GRCL(regularizer=diagonal), Frequency(), Joint(),
+        GRCL(regularizer=lowrank), TopK(2), TopK(0),
     ]
 
 
@@ -688,12 +689,14 @@ def design_reference(inst, algorithm, n, reps, seed, weighting):
             sigma = None
         elif isinstance(algorithm, L2RCL):
             sigma = Regularizer(form="diagonal", values=np.full(inst.d, algorithm.gamma))
+        elif isinstance(algorithm, TopK):
+            sigma = topk_empirical(x1, algorithm.k)
+        elif isinstance(algorithm, Frequency):
+            sigma = Regularizer(form="diagonal", values=x1.sum(axis=0) / n)
+        elif isinstance(algorithm, Sketch):
+            sigma = sketch_regularizer(x1, algorithm.k, memory_seed)
         elif algorithm.regularizer is not None:
             sigma = algorithm.regularizer
-        elif isinstance(algorithm.builder, TopK):
-            sigma = topk_empirical(x1, algorithm.builder.k)
-        elif isinstance(algorithm.builder, Frequency):
-            sigma = Regularizer(form="diagonal", values=x1.sum(axis=0) / n)
         else:
             sigma = algorithm.builder(x1, memory_seed)
         decomps.append(conditional_risk(x1, x2, inst, sigma, weighting))
@@ -712,13 +715,13 @@ class TestOneHotCounts:
     @pytest.mark.parametrize("n", [1, 4, 30])
     def test_estimates_equal_the_design_reference(self, inst, n):
         algorithms = count_path_algorithms(inst.d) + [
-            GRCL(builder=Sketch(2)),
+            Sketch(2),
             GRCL(builder=lambda x1, seed: sketch_regularizer(x1[::-1], 3, seed + 1)),
         ]
         reps, seed = 5, 13
         for weighting in RiskWeighting:
             for algorithm in algorithms:
-                if isinstance(getattr(algorithm, "builder", None), TopK) and algorithm.builder.k > n:
+                if isinstance(algorithm, TopK) and algorithm.k > n:
                     continue
                 want = design_reference(inst, algorithm, n, reps, seed, weighting)
                 shared = Replications(inst, n, reps, seed)
@@ -736,7 +739,7 @@ class TestOneHotCounts:
         n, reps, seed = 4, 7, 2**32 + 13
         monkeypatch.setattr(risk, "_COUNT_BLOCK", block_rows * max(n, inst.d))
         monkeypatch.setattr(risk, "_SEED_RUN", 5)
-        algorithms = count_path_algorithms(inst.d) + [GRCL(builder=Sketch(2))]
+        algorithms = count_path_algorithms(inst.d) + [Sketch(2)]
         for weighting in RiskWeighting:
             for algorithm in algorithms:
                 want = design_reference(inst, algorithm, n, reps, seed, weighting)
@@ -750,6 +753,22 @@ class TestOneHotCounts:
         for rep in (6, 0, 5, 2, 3):  # out of order, across runs and blocks
             got, want = shared[rep].counts(), Replication(inst, n, seed, rep).counts()
             assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+    def test_standalone_counts_hash_no_seed_block(self, monkeypatch):
+        # a standalone replication seeds its draw through numpy's SeedSequence;
+        # it equals the block draw of a shared cell on both sides of a run boundary
+        inst, n, seed = zero_mass_instance(), 4, 9
+        boundary = Replications(inst, n, 2, seed)._run_rows
+        shared = Replications(inst, n, boundary + 2, seed)
+        want = {rep: shared[rep].counts() for rep in (boundary - 1, boundary, boundary + 1)}
+
+        def forbidden(*args):
+            raise AssertionError("a standalone replication hashed a block of seeds")
+
+        monkeypatch.setattr(sampler, "stream_seeds", forbidden)
+        for rep, counts in want.items():
+            got = Replication(inst, n, seed, rep).counts()
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in counts]
 
     def test_custom_algorithm_runs_one_replication_at_a_time(self):
         class Custom:
@@ -776,7 +795,7 @@ class TestOneHotCounts:
 
         inst = make_problem_pk(3, 6, Design.ONE_HOT)
         got = monte_carlo_expected_excess(inst, FrequencyOCL(), 4, 9, 3)
-        assert got == monte_carlo_expected_excess(inst, GRCL(builder=Frequency()), 4, 9, 3)
+        assert got == monte_carlo_expected_excess(inst, Frequency(), 4, 9, 3)
         assert got != monte_carlo_expected_excess(inst, OCL(), 4, 9, 3)
 
     @pytest.mark.parametrize("d", [1, 2, 15, 16, 17, 33])  # about the 16-wide ddot kernel
@@ -831,7 +850,7 @@ class TestOneHotCounts:
         inst = make_problem_pk(3, 20, Design.ONE_HOT)
         tracemalloc.start()
         try:
-            monte_carlo_expected_excess(inst, GRCL(builder=Frequency()), 4, 10**5, 1)
+            monte_carlo_expected_excess(inst, Frequency(), 4, 10**5, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -939,7 +958,7 @@ class TestWidePath:
         assert threads == [threading.get_ident()] * 2
 
     @pytest.mark.parametrize("design, algorithm", [
-        (Design.GAUSSIAN, L2RCL(0.1)), (Design.GAUSSIAN, GRCL(builder=TopK(1))), (Design.ONE_HOT, GRCL(builder=TopK(1))),
+        (Design.GAUSSIAN, L2RCL(0.1)), (Design.GAUSSIAN, TopK(1)), (Design.ONE_HOT, TopK(1)),
     ])
     def test_normal_matrices_refused_before_any_draw(self, monkeypatch, design, algorithm):
         def no_draw(*args):
@@ -955,12 +974,12 @@ class TestWidePath:
     @pytest.mark.parametrize("design, algorithm, refused", [
         (Design.GAUSSIAN, L2RCL(0.1), True),
         (Design.ONE_HOT, L2RCL(0.1), False),
-        (Design.GAUSSIAN, GRCL(builder=TopK(1)), True),
-        (Design.ONE_HOT, GRCL(builder=TopK(1)), True),
-        (Design.GAUSSIAN, GRCL(builder=TopK(0)), False),
-        (Design.GAUSSIAN, GRCL(builder=Sketch(2)), True),
-        (Design.ONE_HOT, GRCL(builder=Sketch(2)), True),
-        (Design.ONE_HOT, GRCL(builder=Frequency()), False),
+        (Design.GAUSSIAN, TopK(1), True),
+        (Design.ONE_HOT, TopK(1), True),
+        (Design.GAUSSIAN, TopK(0), False),
+        (Design.GAUSSIAN, Sketch(2), True),
+        (Design.ONE_HOT, Sketch(2), True),
+        (Design.ONE_HOT, Frequency(), False),
         (Design.GAUSSIAN, GRCL(regularizer=zero_regularizer(4100)), False),
         (Design.GAUSSIAN, GRCL(regularizer=Regularizer(form="diagonal", values=np.ones(4100))), True),
         (Design.ONE_HOT, GRCL(regularizer=Regularizer(form="diagonal", values=np.ones(4100))), False),
@@ -994,7 +1013,10 @@ class TestWidePath:
 
 
 class TestAlgorithmProtocol:
-    @pytest.mark.parametrize("cls, name", [(OCL, "ocl"), (L2RCL, "l2rcl"), (GRCL, "grcl"), (Joint, "joint")])
+    @pytest.mark.parametrize("cls, name", [
+        (OCL, "ocl"), (L2RCL, "l2rcl"), (GRCL, "grcl"), (Joint, "joint"),
+        (TopK, "grcl"), (Sketch, "grcl"), (Frequency, "grcl"),
+    ])
     def test_names_are_class_constants(self, cls, name):
         assert cls.name == name
         assert "name" not in {f.name for f in dataclasses.fields(cls)}
@@ -1017,8 +1039,8 @@ class TestAlgorithmProtocol:
         cases = [
             (OCL(), None),
             (L2RCL(0.4), Regularizer(form="diagonal", values=np.full(6, 0.4))),
-            (GRCL(builder=TopK(2)), topk_empirical(x1, 2)),
-            (GRCL(builder=Sketch(2)), sketch_regularizer(x1, 2, seed)),
+            (TopK(2), topk_empirical(x1, 2)),
+            (Sketch(2), sketch_regularizer(x1, 2, seed)),
         ]
         for algorithm, sigma in cases:
             assert algorithm.risk(designs, RiskWeighting.JOINT) == conditional_risk(x1, x2, inst, sigma)
@@ -1033,8 +1055,8 @@ class TestAlgorithmProtocol:
             algorithms = [OCL(), Joint()]  # the Gram path; other memories are d x d
         else:
             algorithms = count_path_algorithms(d) if design is Design.ONE_HOT else shared_algorithms(d)
-            algorithms += [GRCL(builder=Sketch(2)), GRCL(builder=lambda x1, seed: sketch_regularizer(x1, 3, seed))]
-        algorithms = [a for a in algorithms if not isinstance(getattr(a, "builder", None), TopK) or a.builder.k <= n]
+            algorithms += [Sketch(2), GRCL(builder=lambda x1, seed: sketch_regularizer(x1, 3, seed))]
+        algorithms = [a for a in algorithms if not isinstance(a, TopK) or a.k <= n]
 
         def risks(replication):
             return [tuple(a.risk(replication, weighting) for weighting in RiskWeighting)
@@ -1050,9 +1072,9 @@ class TestAlgorithmProtocol:
             counted = risks(Replication.of_counts(inst, c1, c2))
             assert counted == risks(Replication.of_designs(inst, *rows))
             for algorithm, got, want in zip(algorithms, counted, drawn):
-                # a builder that reads rows sees them in atom order, not in draw order
-                reads_rows = getattr(algorithm, "builder", None) is not None and not hasattr(
-                    algorithm.builder, "memory")
+                # a memory that reads rows sees them in atom order, not in draw order
+                reads_rows = isinstance(algorithm, Sketch) or (
+                    isinstance(algorithm, GRCL) and algorithm.builder is not None)
                 assert reads_rows or got == want
 
     def test_given_pair_may_have_unequal_sizes(self):
@@ -1068,10 +1090,10 @@ class TestAlgorithmProtocol:
 
 class TestFailFast:
     @pytest.mark.parametrize("algorithm, design, n, error", [
-        (GRCL(builder=TopK(9)), Design.GAUSSIAN, 50, KTooLarge),
-        (GRCL(builder=TopK(6)), Design.GAUSSIAN, 5, KTooLarge),
-        (GRCL(builder=TopK(-1)), Design.GAUSSIAN, 50, KTooLarge),
-        (GRCL(builder=Frequency()), Design.GAUSSIAN, 50, NotOneHotDesign),
+        (TopK(9), Design.GAUSSIAN, 50, KTooLarge),
+        (TopK(6), Design.GAUSSIAN, 5, KTooLarge),
+        (TopK(-1), Design.GAUSSIAN, 50, KTooLarge),
+        (Frequency(), Design.GAUSSIAN, 50, NotOneHotDesign),
         (GRCL(regularizer=zero_regularizer(5)), Design.GAUSSIAN, 50, DimensionMismatch),
         (OCL(), Design.GAUSSIAN, 0, DimensionMismatch),
     ])
@@ -1098,6 +1120,12 @@ class TestFailFast:
             Replications(inst, 10, 3, seed=-1)
         with pytest.raises(DimensionMismatch):
             monte_carlo_expected_excess(inst, OCL(), 10, 3, -1)
+
+    @pytest.mark.parametrize("builder", [42, TopK(1), Frequency()])
+    def test_builder_must_be_callable(self, builder):
+        # refused when built, not with a TypeError on the first replication
+        with pytest.raises(DimensionMismatch, match="builder must be a callable"):
+            GRCL(builder=builder)
 
     @pytest.mark.parametrize("k", [-1, 0])
     def test_bad_sketch_size(self, k):
