@@ -9,14 +9,13 @@ summed exactly in log space.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, GrclabError, InvalidProbability
 from .model import Design, ProblemInstance, RiskDecomposition
-from .risk import Replication, RiskWeighting, _checked_count_risks, check_algorithm
+from .risk import Replication, RiskWeighting, _risk_rows, check_algorithm
 
 # Most dataset pairs one enumeration may visit.
 MAX_STATES = 10**6
@@ -94,22 +93,25 @@ def _state_count(n: int, probs: np.ndarray) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def _multinomial_states(n: int, probs: np.ndarray):
-    """(counts, probability) pairs of a Multinomial(n, probs) draw; zero-mass atoms count 0."""
+def _multinomial_states(n: int, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts (S, d) and probabilities (S,) of the states of a Multinomial(n, probs) draw.
+
+    Zero-mass atoms count 0 in every state.
+    """
     support = np.flatnonzero(probs)
     log_probs = [math.log(p) for p in probs[support]]
     lf = _log_factorials(n)
     subs = list(_compositions(n, support.size))
     counts = np.zeros((len(subs), probs.shape[0]))
     counts[:, support] = subs
-    states = []
-    for row, sub in zip(counts, subs):
+    state_probs = []
+    for sub in subs:
         logp = lf[n]
         for c, log_p in zip(sub, log_probs):
             if c:
                 logp += c * log_p - lf[c]
-        states.append((row, math.exp(logp)))
-    return states
+        state_probs.append(math.exp(logp))
+    return counts, np.array(state_probs)
 
 
 def exact_one_hot_expected_excess(
@@ -122,12 +124,13 @@ def exact_one_hot_expected_excess(
 
     Every pair of one-hot datasets is visited through its count vectors
     with the exact multinomial probability; its risk integrates the label
-    noise analytically.  Pairs are read in blocks by the Monte Carlo
-    count engine where the counts determine the risk, else each as a
-    count :class:`grclab.risk.Replication`.  Only count-determined
-    algorithms are meaningful here (all four standard ones are); a
-    memory that reads rows gets them in atom order, and one that draws
-    gets the memory seed of stream (seed 0, replication 0) for every pair.
+    noise analytically.  The pairs, task-1 major, are read as Monte Carlo
+    reads its replications: in blocks of count rows where the counts
+    determine the risk, else each as a count :class:`grclab.risk.Replication`.
+    Only count-determined algorithms are meaningful here (all four
+    standard ones are); a memory that reads rows gets the rows of c1 in
+    atom order, as on every one-hot replication, and one that draws gets
+    the memory seed of stream (seed 0, replication 0) for every pair.
     """
     if inst.design is not Design.ONE_HOT:
         raise DimensionMismatch("exhaustive enumeration needs a one-hot instance")
@@ -135,11 +138,16 @@ def exact_one_hot_expected_excess(
     n_pairs = _state_count(n, inst.g.values) * _state_count(n, inst.h.values)
     if n_pairs > MAX_STATES:
         raise BudgetExceeded(f"{n_pairs} dataset pairs exceed the budget of {MAX_STATES}")
-    states1 = _multinomial_states(n, inst.g.values)
-    states2 = _multinomial_states(n, inst.h.values)
-    probs = np.multiply.outer([p for _, p in states1], [p for _, p in states2]).ravel()
-    counts1, counts2 = (np.array([c for c, _ in states]) for states in (states1, states2))
-    bias, variance = _pair_risks(inst, n, algorithm, weighting, counts1, counts2)
+    counts1, probs1 = _multinomial_states(n, inst.g.values)
+    counts2, probs2 = _multinomial_states(n, inst.h.values)
+    probs = np.multiply.outer(probs1, probs2).ravel()
+    size2, step = len(counts2), max(1, _PAIR_BLOCK // inst.d)
+    pairs = (divmod(np.arange(start, min(start + step, n_pairs)), size2) for start in range(0, n_pairs, step))
+    blocks = ((counts1[task1], counts2[task2]) for task1, task2 in pairs)
+    bias, variance = _risk_rows(
+        algorithm, inst, n, weighting, n_pairs, blocks,
+        lambda pair: Replication.of_counts(inst, counts1[pair // size2], counts2[pair % size2]), "pairs",
+    )
 
     total_prob = math.fsum(probs)
     if abs(total_prob - 1.0) > 1e-9:
@@ -147,29 +155,3 @@ def exact_one_hot_expected_excess(
     return RiskDecomposition(
         bias=math.fsum(probs * bias), variance=math.fsum(probs * variance)
     )
-
-
-def _pair_risks(inst, n, algorithm, weighting, counts1, counts2) -> np.ndarray:
-    """Biases and variances (2, P) of all pairs of a task-1 and a task-2 count row, task-1 major.
-
-    Algorithms whose risks the counts determine run blocks of pairs
-    through the Monte Carlo count engine; any other reads one count
-    ``Replication`` per pair.
-    """
-    size2 = len(counts2)
-    pairs = len(counts1) * size2
-    step = max(1, _PAIR_BLOCK // inst.d)
-    risks = np.empty((2, pairs))
-    for start in range(0, pairs, step):
-        task1, task2 = divmod(np.arange(start, min(start + step, pairs)), size2)
-        rows = _checked_count_risks(algorithm, counts1[task1], counts2[task2], inst, n, weighting,
-                                    start, "pairs")
-        if rows is None:
-            break
-        risks[:, start:start + rows.shape[1]] = rows
-    else:
-        return risks
-    for pair, (c1, c2) in enumerate(itertools.product(counts1, counts2)):
-        dec = algorithm.risk(Replication.of_counts(inst, c1, c2), weighting)
-        risks[:, pair] = dec.bias, dec.variance
-    return risks

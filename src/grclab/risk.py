@@ -369,51 +369,57 @@ def _one_row(risks) -> RiskDecomposition:
 
 
 def _rows_of_counts(counts: np.ndarray) -> np.ndarray:
-    """The one-hot design with ``counts[i]`` rows e_i, in atom order."""
-    return np.repeat(np.eye(counts.shape[0]), counts.astype(int), axis=0)
+    """The one-hot design with ``counts[i]`` rows e_i, in atom order; n x d, with no d x d identity."""
+    atoms = np.repeat(np.arange(counts.shape[0]), counts.astype(int))
+    rows = np.zeros((atoms.size, counts.shape[0]))
+    rows[np.arange(atoms.size), atoms] = 1.0
+    return rows
 
 
 class Replication:
     """One pair of designs as the risk paths read it.
 
     Its sufficient statistics are caches, each filled on first use: the
-    designs (X1, X2), the count pair (c1, c2) of a one-hot pair, the
-    normal matrices (A1, A2) = (X1^T X1, X2^T X2) and eigh(A1).  A Monte
-    Carlo replication fills them from its (seed, rep) streams.  A dense
-    Gaussian one keeps only A1, A2 and eigh(A1), 3 d^2 floats, and forms
-    A1 and A2 from blocks of rows without holding X1 or X2: the
-    first-phase fit and every top-k memory read the same eigenpairs.  A
-    one-hot one keeps only its counts, drawn without the n x d designs;
-    its normal matrices are exactly diag(c1) and diag(c2), since a one-hot
-    row adds 1 to one diagonal entry.  A replication of
-    caller-held designs or counts (``of_designs``, ``of_counts``) starts
-    with that cache filled, and has the memory seed of (seed 0, rep 0).
+    designs (X1, X2) of a Gaussian pair, the count pair (c1, c2) of a
+    one-hot pair, the normal matrices (A1, A2) = (X1^T X1, X2^T X2) and
+    eigh(A1).  A Monte Carlo replication fills them from its (seed, rep)
+    streams.  A dense Gaussian one keeps only A1, A2 and eigh(A1), 3 d^2
+    floats, and forms A1 and A2 from blocks of rows without holding X1 or
+    X2: the first-phase fit and every top-k memory read the same
+    eigenpairs.  A one-hot pair is its counts, drawn, given or enumerated,
+    and never holds a design: its normal matrices are exactly diag(c1) and
+    diag(c2), since a one-hot row adds 1 to one diagonal entry, and
+    ``of_designs`` keeps only the column sums of one-hot designs.  A
+    replication of caller-held designs or counts (``of_designs``,
+    ``of_counts``) starts with that cache filled, and has the memory seed
+    of (seed 0, rep 0).
 
-    ``x1`` serves a memory that reads rows: a held X1, else X1 drawn
-    again from its seed, else the rows of c1.  ``sequential_risk`` and
-    ``joint_risk`` choose the path by the declared design: the counts for
-    one-hot, the n x n Gram path for Gaussian above ``NORMAL_PATH_MAX_D``,
-    the normal matrices otherwise.  Not safe for concurrent use.
+    ``x1`` serves a memory that reads rows: the rows of c1 in atom order
+    for a one-hot pair, else a held X1, else X1 drawn again from its seed.
+    ``sequential_risk`` and ``joint_risk`` choose the path by the declared
+    design: the counts for one-hot, the n x n Gram path for Gaussian above
+    ``NORMAL_PATH_MAX_D``, the normal matrices otherwise.  Not safe for
+    concurrent use.
     """
 
-    __slots__ = ("inst", "n", "n2", "seed", "rep", "_drawn", "_designs", "_counts", "_normal",
-                 "_eig_a1")
+    __slots__ = ("inst", "n", "n2", "seed", "rep", "_designs", "_counts", "_normal", "_eig_a1")
 
     def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
         self.inst, self.n, self.n2, self.seed, self.rep = inst, n, n, seed, rep
-        self._drawn = True
         self._designs = self._counts = self._normal = self._eig_a1 = None
 
     @classmethod
     def of_designs(cls, inst: ProblemInstance, x1: np.ndarray, x2: np.ndarray) -> "Replication":
+        if inst.design is Design.ONE_HOT:
+            return cls.of_counts(inst, x1.sum(axis=0), x2.sum(axis=0))
         given = cls(inst, x1.shape[0], 0, 0)
-        given.n2, given._drawn, given._designs = x2.shape[0], False, (x1, x2)
+        given.n2, given._designs = x2.shape[0], (x1, x2)
         return given
 
     @classmethod
     def of_counts(cls, inst: ProblemInstance, c1: np.ndarray, c2: np.ndarray) -> "Replication":
         given = cls(inst, int(c1.sum()), 0, 0)
-        given.n2, given._drawn, given._counts = int(c2.sum()), False, (c1, c2)
+        given.n2, given._counts = int(c2.sum()), (c1, c2)
         return given
 
     @property
@@ -434,32 +440,25 @@ class Replication:
         return self.inst.g, self.n, self._stream(sampler.TASK1_DESIGN)
 
     def _draw(self, task: int) -> np.ndarray:
-        """X1 (task 0) or X2 (task 1) drawn from its stream."""
-        draw = sampler.sample_one_hot_design if self.one_hot else sampler.sample_gaussian_design
-        return draw(*self._draw_args(task))
-
-    def _design(self, task: int) -> np.ndarray:
-        if self._designs is not None:
-            return self._designs[task]
-        if self._drawn:
-            return self._draw(task)
-        return _rows_of_counts(self._counts[task])
+        """Gaussian X1 (task 0) or X2 (task 1) drawn from its stream."""
+        return sampler.sample_gaussian_design(*self._draw_args(task))
 
     @property
     def x1(self) -> np.ndarray:
-        return self._design(0)
-
-    @property
-    def x2(self) -> np.ndarray:
-        return self._design(1)
+        if self.one_hot:
+            return _rows_of_counts(self.counts()[0])
+        return self._draw(0) if self._designs is None else self._designs[0]
 
     def designs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X1, X2), kept once made; of a drawn pair, only the Gram path asks.
+        """Gaussian (X1, X2), kept once made; of a drawn pair, only the Gram path asks.
 
         A wide Gaussian replication (d > NORMAL_PATH_MAX_D) draws X2 on a
         helper thread while this one draws X1: ``standard_normal`` releases
         the GIL, and each draw is a pure function of its own stream seed.
+        A one-hot pair is its counts and has no designs.
         """
+        if self.one_hot:
+            raise DimensionMismatch("a one-hot replication is its counts (c1, c2) and holds no designs")
         if self._designs is None:
             if _wide(self.inst):
                 # imported here: it loads logging, which no other path needs
@@ -469,16 +468,13 @@ class Replication:
                     x2 = helper.submit(self._draw, 1)
                     self._designs = (self._draw(0), x2.result())
             else:
-                self._designs = (self.x1, self.x2)
+                self._designs = (self._draw(0), self._draw(1))
         return self._designs
 
     def counts(self):
-        """(c1, c2), the column sums of a one-hot X1 and X2."""
+        """(c1, c2), how often each atom occurs in a one-hot X1 and X2."""
         if self._counts is None:
-            if self._designs is not None:
-                self._counts = tuple(x.sum(axis=0) for x in self._designs)
-            else:
-                self._counts = tuple(sampler.sample_one_hot_counts(*self._draw_args(task)) for task in (0, 1))
+            self._counts = tuple(sampler.sample_one_hot_counts(*self._draw_args(task)) for task in (0, 1))
         return self._counts
 
     def normal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -772,20 +768,32 @@ def _count_risks(algorithm, c1, c2, inst: ProblemInstance, n: int, weighting: Ri
     return None if gamma is None else _conditional_sequential_onehot(c1, c2, n, inst, gamma, weighting)
 
 
-def _checked_count_risks(algorithm, c1, c2, inst: ProblemInstance, n: int,
-                         weighting: RiskWeighting, first: int, unit: str) -> np.ndarray | None:
-    """``_count_risks`` as one (2, B) array of biases and variances, checked as each RiskDecomposition is.
+def _risk_rows(algorithm, inst: ProblemInstance, n: int, weighting: RiskWeighting, size: int,
+               blocks, replication: Callable[[int], Replication], unit: str) -> np.ndarray:
+    """Biases and variances (2, size) of ``algorithm`` on ``size`` pairs, in order.
 
-    The rows are ``unit`` ``first`` onwards, as the error names them.
+    ``blocks`` yields the one-hot pairs' (c1, c2) count rows (B x d), a
+    block at a time; where the counts determine the risks they are read
+    from the blocks, checked as each RiskDecomposition is, with the rows
+    named as ``unit`` in the error.  Otherwise pair ``i`` is read as
+    ``replication(i)``, one at a time.
     """
-    risks = _count_risks(algorithm, c1, c2, inst, n, weighting)
-    if risks is None:
-        return None
-    rows = np.array(risks)
-    if not np.all((rows >= 0) & (rows < math.inf)):
-        last = first + rows.shape[1] - 1
-        raise NegativeEigenvalue(f"non-finite or negative risk in {unit} {first} to {last}")
-    return rows
+    risks = np.empty((2, size))
+    done = 0
+    for c1, c2 in blocks:
+        rows = _count_risks(algorithm, c1, c2, inst, n, weighting)
+        if rows is None:  # the memory reads more than the counts
+            break
+        rows = np.array(rows)
+        end = done + rows.shape[1]
+        if not np.all((rows >= 0) & (rows < math.inf)):
+            raise NegativeEigenvalue(f"non-finite or negative risk in {unit} {done} to {end - 1}")
+        risks[:, done:end] = rows
+        done = end
+    for i in range(done, size):
+        dec = algorithm.risk(replication(i), weighting)
+        risks[:, i] = dec.bias, dec.variance
+    return risks
 
 
 # -- Monte Carlo over design replications ---------------------------------------
@@ -896,19 +904,10 @@ def monte_carlo_expected_excess(
     elif (replications.inst is not inst
           or (replications.n, replications.reps, replications.seed) != (n, reps, seed)):
         raise DimensionMismatch("replications were drawn for another (instance, n, reps, seed)")
-    bias, variance = np.empty(reps), np.empty(reps)
-    done = 0
-    if replications.one_hot:
-        for start in range(0, reps, replications._block_rows):
-            c1, c2 = replications._count_block(start)
-            rows = _checked_count_risks(algorithm, c1, c2, inst, n, weighting, start, "replications")
-            if rows is None:  # the memory reads more than the counts: one replication at a time
-                break
-            done = start + rows.shape[1]
-            bias[start:done], variance[start:done] = rows
-    for rep in range(done, reps):
-        dec = algorithm.risk(replications[rep], weighting)
-        bias[rep], variance[rep] = dec.bias, dec.variance
+    starts = range(0, reps, replications._block_rows) if replications.one_hot else ()
+    blocks = (replications._count_block(start) for start in starts)
+    bias, variance = _risk_rows(algorithm, inst, n, weighting, reps, blocks, replications.__getitem__,
+                                "replications")
     totals = bias + variance
     mean = math.fsum(totals) / reps
     sq = math.fsum((t - mean) ** 2 for t in map(float, totals))

@@ -576,3 +576,10 @@ class TestMain:
         )
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    def test_import_loads_no_thread_pool_logging_or_random(self):
+        # the wide path's helper thread pool (which loads logging) and
+        # numpy.random are imported on first use, not by ``import grclab``
+        code = "import sys, grclab; print(sorted({'concurrent.futures', 'logging', 'numpy.random'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"

@@ -142,7 +142,8 @@ class TestExactEnumeration:
     def test_budget_exceeded(self):
         # C(20, 3) = 1,140 count vectors per task, so 1,299,600 pairs
         inst = small_instance([0.25] * 4, [0.25] * 4, np.ones(4))
-        assert len(_multinomial_states(17, inst.g.values)) == 1140
+        counts, probs = _multinomial_states(17, inst.g.values)
+        assert counts.shape == (1140, 4) and probs.shape == (1140,)
         assert MAX_STATES == 10**6
         with pytest.raises(BudgetExceeded, match="1299600 dataset pairs"):
             exact_one_hot_expected_excess(inst, 17, OCL())
@@ -152,12 +153,12 @@ class TestExactEnumeration:
     ])
     def test_state_count_is_the_enumeration(self, probs, n):
         probs = np.array(probs)
-        states = _multinomial_states(n, probs)
-        assert _state_count(n, probs) == len(states)
+        counts, state_probs = _multinomial_states(n, probs)
+        assert _state_count(n, probs) == len(counts) == len(state_probs)
         # the compositions of n over all atoms that put nothing on a zero-mass atom, in order
         live = [c for c in _compositions(n, probs.size) if all(p > 0 or not k for k, p in zip(c, probs))]
-        assert [tuple(counts) for counts, _ in states] == live
-        assert math.fsum(p for _, p in states) == pytest.approx(1.0, abs=1e-12)
+        assert [tuple(row) for row in counts] == live
+        assert math.fsum(state_probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_checked_before_enumerating(self, monkeypatch):
         def no_states(*args):
@@ -194,9 +195,9 @@ def design_reference(inst, n, algorithm, weighting):
     """Enumeration through ``conditional_risk*`` on the dense designs of each count pair."""
     memory_seed = stream_seed(0, 0, REGULARIZER_STREAM)
     bias_terms, var_terms = [], []
-    for c1, p1 in _multinomial_states(n, inst.g.values):
+    for c1, p1 in zip(*_multinomial_states(n, inst.g.values)):
         x1 = np.repeat(np.eye(inst.d), c1.astype(int), axis=0)
-        for c2, p2 in _multinomial_states(n, inst.h.values):
+        for c2, p2 in zip(*_multinomial_states(n, inst.h.values)):
             x2 = np.repeat(np.eye(inst.d), c2.astype(int), axis=0)
             if isinstance(algorithm, Joint):
                 dec = conditional_risk_joint(x1, x2, inst, weighting)

@@ -477,7 +477,7 @@ class TestDenseFormulas:
         # P(15) at d = 200, n = 5000: about 40 of S's 200 directions pass the cutoff
         inst = make_problem_pk(15, 200, Design.GAUSSIAN)
         drawn = Replication(inst, 5000, 1, 0)
-        x1, x2 = drawn.x1, drawn.x2
+        x1, x2 = drawn.designs()
         pair = Replication.of_designs(inst, x1, x2)
         cutoff = _eigen_cutoff_ratio(5000, 200)
         for reg, most_dropped in ((zero_regularizer(200), True), (TopK(5).memory(pair), True),
@@ -675,12 +675,21 @@ def count_path_algorithms(d):
     ]
 
 
+def atom_order_rows(x):
+    """The rows of the one-hot design ``x`` sorted by atom."""
+    return np.repeat(np.eye(x.shape[1]), x.sum(axis=0).astype(int), axis=0)
+
+
 def design_reference(inst, algorithm, n, reps, seed, weighting):
-    """Monte Carlo from ``conditional_risk*`` on the dense one-hot draws of each stream seed."""
+    """Monte Carlo from ``conditional_risk*`` on the dense one-hot draws of each stream seed.
+
+    A memory reads the rows of X1 in atom order, as every one-hot replication gives them.
+    """
     decomps = []
     for rep in range(reps):
         x1 = sample_one_hot_design(inst.g, n, sampler.stream_seed(seed, rep, sampler.TASK1_DESIGN))
         x2 = sample_one_hot_design(inst.h, n, sampler.stream_seed(seed, rep, sampler.TASK2_DESIGN))
+        rows1 = atom_order_rows(x1)
         memory_seed = sampler.stream_seed(seed, rep, sampler.REGULARIZER_STREAM)
         if isinstance(algorithm, Joint):
             decomps.append(conditional_risk_joint(x1, x2, inst, weighting))
@@ -690,15 +699,15 @@ def design_reference(inst, algorithm, n, reps, seed, weighting):
         elif isinstance(algorithm, L2RCL):
             sigma = Regularizer(form="diagonal", values=np.full(inst.d, algorithm.gamma))
         elif isinstance(algorithm, TopK):
-            sigma = topk_empirical(x1, algorithm.k)
+            sigma = topk_empirical(rows1, algorithm.k)
         elif isinstance(algorithm, Frequency):
-            sigma = Regularizer(form="diagonal", values=x1.sum(axis=0) / n)
+            sigma = Regularizer(form="diagonal", values=rows1.sum(axis=0) / n)
         elif isinstance(algorithm, Sketch):
-            sigma = sketch_regularizer(x1, algorithm.k, memory_seed)
+            sigma = sketch_regularizer(rows1, algorithm.k, memory_seed)
         elif algorithm.regularizer is not None:
             sigma = algorithm.regularizer
         else:
-            sigma = algorithm.builder(x1, memory_seed)
+            sigma = algorithm.builder(rows1, memory_seed)
         decomps.append(conditional_risk(x1, x2, inst, sigma, weighting))
     totals = [dec.total for dec in decomps]
     mean = math.fsum(totals) / reps
@@ -867,6 +876,18 @@ class TestOneHotCounts:
             for replications in (None, Replications(inst, 9, 3, seed=2)):
                 monte_carlo_expected_excess(inst, algorithm, 9, 3, 2, replications=replications)
 
+    def test_row_reading_memories_neither_draw_nor_scan_designs(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a dense one-hot design was drawn or scanned")
+
+        monkeypatch.setattr(sampler, "sample_one_hot_design", forbidden)
+        monkeypatch.setattr("grclab.risk._is_one_hot_rows", forbidden)
+        inst = zero_mass_instance()
+        for algorithm in (Sketch(2), GRCL(builder=lambda x1, seed: sketch_regularizer(x1, 3, seed))):
+            for replications in (None, Replications(inst, 9, 3, seed=2)):
+                monte_carlo_expected_excess(inst, algorithm, 9, 3, 2, replications=replications)
+            algorithm.risk(Replication(inst, 9, 2, 0), RiskWeighting.JOINT)
+
     def test_replications_are_count_pairs(self):
         inst = zero_mass_instance()
         replication = Replications(inst, 12, 3, seed=4)[1]
@@ -878,7 +899,7 @@ class TestOneHotCounts:
         a1, a2 = replication.normal()
         assert a1.tobytes() == np.diag(c1).tobytes()
         assert a2.tobytes() == np.diag(c2).tobytes()
-        assert replication.x1.sum(axis=0).tobytes() == c1.tobytes()
+        assert replication.x1.tobytes() == np.repeat(np.eye(inst.d), c1.astype(int), axis=0).tobytes()
 
 
 def wide_instance(d=4100):
@@ -945,17 +966,20 @@ class TestWidePath:
         # X2 comes from a helper thread only above the dense limit
         assert len(set(threads)) == (2 if d > 4096 else 1)
 
-    def test_one_hot_draws_stay_on_one_thread(self, monkeypatch):
-        threads = []
-        draw = sampler.sample_one_hot_design
+    def test_one_hot_designs_raise_without_a_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a design was drawn")
 
-        def recorded(s, n, seed):
-            threads.append(threading.get_ident())
-            return draw(s, n, seed)
-
-        monkeypatch.setattr(sampler, "sample_one_hot_design", recorded)
-        Replication(make_problem_pk(3, 4100, Design.ONE_HOT), 6, 1, 0).designs()
-        assert threads == [threading.get_ident()] * 2
+        for name in ("sample_gaussian_design", "gaussian_gram", "sample_one_hot_design", "sample_one_hot_counts",
+                     "sample_one_hot_count_block"):
+            monkeypatch.setattr(sampler, name, no_draw)
+        for d in (4100, 6):
+            inst = make_problem_pk(3, d, Design.ONE_HOT)
+            rows = np.eye(4, d)
+            for replication in (Replication(inst, 6, 1, 0), Replication.of_counts(inst, np.ones(d), np.ones(d)),
+                                Replication.of_designs(inst, rows, rows)):
+                with pytest.raises(DimensionMismatch, match="one-hot replication is its counts"):
+                    replication.designs()
 
     @pytest.mark.parametrize("design, algorithm", [
         (Design.GAUSSIAN, L2RCL(0.1)), (Design.GAUSSIAN, TopK(1)), (Design.ONE_HOT, TopK(1)),
@@ -1005,7 +1029,7 @@ class TestWidePath:
         parts = []
         for rep in range(reps):
             replication = Replication(inst, n, seed, rep)
-            parts.append(svd_joint_risk(replication.x1, replication.x2, inst, weighting))
+            parts.append(svd_joint_risk(*replication.designs(), inst, weighting))
         bias, variance = np.mean(parts, axis=0)
         assert dec.bias == pytest.approx(bias, rel=1e-8, abs=1e-10)
         assert dec.variance == pytest.approx(variance, rel=1e-8, abs=1e-10)
@@ -1036,11 +1060,13 @@ class TestAlgorithmProtocol:
         x1, x2 = draw(inst.g, 9, 1), draw(inst.h, 9, 2)
         designs = Replication.of_designs(inst, x1, x2)
         seed = sampler.stream_seed(0, 0, sampler.REGULARIZER_STREAM)
+        # a one-hot pair is its counts: a memory reads the rows of X1 in atom order
+        rows1 = atom_order_rows(x1) if design is Design.ONE_HOT else x1
         cases = [
             (OCL(), None),
             (L2RCL(0.4), Regularizer(form="diagonal", values=np.full(6, 0.4))),
             (TopK(2), topk_empirical(x1, 2)),
-            (Sketch(2), sketch_regularizer(x1, 2, seed)),
+            (Sketch(2), sketch_regularizer(rows1, 2, seed)),
         ]
         for algorithm, sigma in cases:
             assert algorithm.risk(designs, RiskWeighting.JOINT) == conditional_risk(x1, x2, inst, sigma)
@@ -1064,18 +1090,16 @@ class TestAlgorithmProtocol:
 
         # the streams of (seed 0, rep 0), whose memory seed a given replication has
         drawn = risks(Replication(inst, n, 0, 0))
-        x1, x2 = Replication(inst, n, 0, 0).designs()
+        if design is Design.ONE_HOT:
+            seeds = [sampler.stream_seed(0, 0, tag) for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN)]
+            x1, x2 = (sample_one_hot_design(s, n, seed) for s, seed in zip((inst.g, inst.h), seeds))
+        else:
+            x1, x2 = Replication(inst, n, 0, 0).designs()
         assert risks(Replication.of_designs(inst, x1, x2)) == drawn
         if design is Design.ONE_HOT:
-            c1, c2 = x1.sum(axis=0), x2.sum(axis=0)
-            rows = [np.repeat(np.eye(d), c.astype(int), axis=0) for c in (c1, c2)]
-            counted = risks(Replication.of_counts(inst, c1, c2))
-            assert counted == risks(Replication.of_designs(inst, *rows))
-            for algorithm, got, want in zip(algorithms, counted, drawn):
-                # a memory that reads rows sees them in atom order, not in draw order
-                reads_rows = isinstance(algorithm, Sketch) or (
-                    isinstance(algorithm, GRCL) and algorithm.builder is not None)
-                assert reads_rows or got == want
+            # every memory, those that read rows included, sees the rows of c1 in atom order
+            assert risks(Replication.of_counts(inst, x1.sum(axis=0), x2.sum(axis=0))) == drawn
+            assert risks(Replication.of_designs(inst, atom_order_rows(x1), atom_order_rows(x2))) == drawn
 
     def test_given_pair_may_have_unequal_sizes(self):
         inst = make_problem_pk(3, 5, Design.ONE_HOT)
