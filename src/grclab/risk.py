@@ -196,13 +196,14 @@ def _joint_risk(rep: Replication, weighting):
 # materializable.  Every term then reduces to the blocks of K = Z Z^T and
 # W = Z M Z^T with Z = [X1; X2], through (X^T X)^+ = X^T (X X^T)^+2 X.
 # Each is one symmetric product: syrk on the diagonal blocks, one GEMM off
-# it.  The designs are only read: W is accumulated over column blocks of
-# Z scaled by sqrt(m) into a scratch array, never a weighted copy of Z.
+# it.  An engine owns the pair it is given: it forms K and the bias from
+# the designs as drawn, then scales them by sqrt(m) in place to sum W, and
+# frees them before the n x n phase.
 
-# Columns of Z per step of the W sum.  Each step adds three n x n products,
-# so narrower steps cost more adds per flop: 4096 keeps the sum within about
-# 6% of three plain products at n = 1000 and 4000, for an 8 (n1 + n2) * 4096
-# byte scratch array (64 MB at n1 = n2 = 1000).
+# Columns of Z per step of the W sum.  Each step scales one block of
+# columns of X1 and X2 in place and adds three n x n products, so narrower
+# steps cost more adds per flop: 4096 keeps the sum within about 6% of
+# three plain products at n = 1000 and 4000.
 _GRAM_BLOCK_COLUMNS = 4096
 
 
@@ -221,41 +222,52 @@ def _wide(inst: ProblemInstance) -> bool:
 
 
 def _pinv_sym(sym: np.ndarray, cutoff_ratio: float) -> np.ndarray:
+    """K^+ of a PSD Gram K: ``np.linalg.inv`` where certified, else eigh with the cutoff.
+
+    lambda_max <= ||K||_F and lambda_min >= 1 / ||K^-1||_F, so a finite K^-1 with ||K||_F ||K^-1||_F
+    < 1e-3 / cutoff_ratio puts every eigenvalue above 1000 times the cutoff, room for its own
+    rounding, and is K^+: the certificate picks a numerical route, not the directions kept.
+    """
+    try:
+        inv = np.linalg.inv(sym)
+    except np.linalg.LinAlgError:  # exactly singular
+        inv = None
+    # Python floats: a non-finite norm compares False, and the product cannot warn
+    if inv is not None and float(np.linalg.norm(sym)) * float(np.linalg.norm(inv)) < 1e-3 / cutoff_ratio:
+        return inv
     _, v, inv, _ = _pinv_parts(sym, cutoff_ratio)
     return (v * inv) @ v.T
 
 
 def _scaled_grams(x1: np.ndarray, x2: np.ndarray, m: np.ndarray):
-    """W11 = X1 M X1^T, W12 = X1 M X2^T and W22 = X2 M X2^T, summed over column blocks."""
+    """W11 = X1 M X1^T, W12 = X1 M X2^T and W22 = X2 M X2^T, scaling column blocks in place."""
     n1, d = x1.shape
     n2 = x2.shape[0]
     root = np.sqrt(m)
     width = _GRAM_BLOCK_COLUMNS
-    scratch = np.empty((n1 + n2, min(width, d)))
     product = np.empty(max(n1, n2) ** 2)
     grams = (np.zeros((n1, n1)), np.zeros((n1, n2)), np.zeros((n2, n2)))
     for start in range(0, d, width):
         cols = slice(start, start + width)
-        block = scratch[:, : min(width, d - start)]
-        s1, s2 = block[:n1], block[n1:]
-        np.multiply(x1[:, cols], root[cols], out=s1)
-        np.multiply(x2[:, cols], root[cols], out=s2)
+        s1, s2 = x1[:, cols], x2[:, cols]
+        s1 *= root[cols]
+        s2 *= root[cols]
         for gram, left, right in zip(grams, (s1, s1, s2), (s1, s2, s2)):
             out = product[: gram.size].reshape(gram.shape)
             gram += np.matmul(left, right.T, out=out)  # syrk when left is right
     return grams
 
 
-def _conditional_sequential_gram(x1, x2, inst, weighting):
-    """Unregularized conditional risk from the Gram blocks.
+def _conditional_sequential_gram(pair: list, inst, weighting):
+    """Unregularized conditional risk from the Gram blocks of ``pair`` = [X1, X2], scaled and emptied.
 
     P2 = I - X2^T (X2 X2^T)^+ X2 propagates the first-phase error, so the
     first variance term is <(X1 P2) M (X1 P2)^T, A1^+2> in row space.
     """
+    x1, x2 = pair
     n1, d = x1.shape
     n2 = x2.shape[0]
-    n_big = max(n1, n2)
-    cutoff = _eigen_cutoff_ratio(n_big, d)
+    cutoff = _eigen_cutoff_ratio(max(n1, n2), d)
     m = weight_vector(inst, weighting)
 
     a1_plus = _pinv_sym(x1 @ x1.T, cutoff)
@@ -267,6 +279,7 @@ def _conditional_sequential_gram(x1, x2, inst, weighting):
     bias = float(m @ (b * b))
 
     core, w12, w22 = _scaled_grams(x1, x2, m)
+    del x1, x2, pair[:]  # the only references: the designs are freed here
     t = k12 @ a2_plus
     del k12
     # (X1 P2) M (X1 P2)^T = W11 - T W12^T - W12 T^T + T W22 T^T, in place
@@ -283,12 +296,13 @@ def _conditional_sequential_gram(x1, x2, inst, weighting):
     return RiskDecomposition(bias=bias, variance=max(variance, 0.0))
 
 
-def _conditional_joint_gram(x1, x2, inst, weighting):
-    """Stacked min-norm risk from the Gram blocks.
+def _conditional_joint_gram(pair: list, inst, weighting):
+    """Stacked min-norm risk from the Gram blocks of ``pair`` = [X1, X2], scaled and emptied.
 
     bias = ||w* - Z^T K^+ Z w*||_M^2 and variance = sigma2 tr(K^+ W K^+),
     with the cutoff of the dense joint path at n1 + n2 rows.
     """
+    x1, x2 = pair
     n1, d = x1.shape
     n = n1 + x2.shape[0]
     cutoff = _eigen_cutoff_ratio(n, d)
@@ -303,6 +317,7 @@ def _conditional_joint_gram(x1, x2, inst, weighting):
     bias = float(m @ (pw * pw))
 
     w11, w12, w22 = _scaled_grams(x1, x2, m)
+    del x1, x2, pair[:]  # the only references: the designs are freed here
     w = np.block([[w11, w12], [w12.T, w22]])
     del w11, w12, w22
     variance = inst.sigma2 * float(np.einsum("ij,ji->", k_plus @ w, k_plus))
@@ -386,10 +401,13 @@ class Replication:
     streams.  A dense Gaussian one keeps only A1, A2 and eigh(A1), 3 d^2
     floats, and forms A1 and A2 from blocks of rows without holding X1 or
     X2: the first-phase fit and every top-k memory read the same
-    eigenpairs.  A one-hot pair is its counts, drawn, given or enumerated,
-    and never holds a design: its normal matrices are exactly diag(c1) and
-    diag(c2), since a one-hot row adds 1 to one diagonal entry, and
-    ``of_designs`` keeps only the column sums of one-hot designs.  A
+    eigenpairs.  A wide one keeps no design: each Gram risk scales a fresh
+    draw in place and frees it, or a copy of the designs that ``designs()``
+    keeps or the caller gave.  A one-hot pair is its counts, drawn, given
+    or enumerated, and never holds a design: its normal matrices are
+    exactly diag(c1) and diag(c2), since a one-hot row adds 1 to one
+    diagonal entry, and ``of_designs`` keeps only the column sums of
+    one-hot designs.  A
     replication of caller-held designs or counts (``of_designs``,
     ``of_counts``) starts with that cache filled, and has the memory seed
     of (seed 0, rep 0).
@@ -450,26 +468,30 @@ class Replication:
         return self._draw(0) if self._designs is None else self._designs[0]
 
     def designs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gaussian (X1, X2), kept once made; of a drawn pair, only the Gram path asks.
+        """Gaussian (X1, X2), kept once made; a one-hot pair is its counts and has no designs."""
+        if self.one_hot:
+            raise DimensionMismatch("a one-hot replication is its counts (c1, c2) and holds no designs")
+        if self._designs is None:
+            self._designs = tuple(self._gram_pair())
+        return self._designs
+
+    def _gram_pair(self) -> list:
+        """[X1, X2] that a Gram engine may scale and free: copies of held designs, else a draw not kept.
 
         A wide Gaussian replication (d > NORMAL_PATH_MAX_D) draws X2 on a
         helper thread while this one draws X1: ``standard_normal`` releases
         the GIL, and each draw is a pure function of its own stream seed.
-        A one-hot pair is its counts and has no designs.
         """
-        if self.one_hot:
-            raise DimensionMismatch("a one-hot replication is its counts (c1, c2) and holds no designs")
-        if self._designs is None:
-            if _wide(self.inst):
-                # imported here: it loads logging, which no other path needs
-                from concurrent.futures import ThreadPoolExecutor
+        if self._designs is not None:
+            return [x.copy() for x in self._designs]
+        if not _wide(self.inst):
+            return [self._draw(0), self._draw(1)]
+        # imported here: it loads logging, which no other path needs
+        from concurrent.futures import ThreadPoolExecutor
 
-                with ThreadPoolExecutor(max_workers=1) as helper:
-                    x2 = helper.submit(self._draw, 1)
-                    self._designs = (self._draw(0), x2.result())
-            else:
-                self._designs = (self._draw(0), self._draw(1))
-        return self._designs
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            x2 = helper.submit(self._draw, 1)
+            return [self._draw(0), x2.result()]
 
     def counts(self):
         """(c1, c2), how often each atom occurs in a one-hot X1 and X2."""
@@ -509,7 +531,7 @@ class Replication:
             rows = _conditional_sequential_onehot(c1[None], c2[None], self.n2, self.inst, gamma, weighting)
             return _one_row(rows)
         if _wide(self.inst) and reg.is_zero:
-            return _conditional_sequential_gram(*self.designs(), self.inst, weighting)
+            return _conditional_sequential_gram(self._gram_pair(), self.inst, weighting)
         return _sequential_risk(self, reg, weighting)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
@@ -517,7 +539,7 @@ class Replication:
             c1, c2 = self.counts()
             return _one_row(_conditional_joint_onehot(c1[None], c2[None], self.inst, weighting))
         if _wide(self.inst):
-            return _conditional_joint_gram(*self.designs(), self.inst, weighting)
+            return _conditional_joint_gram(self._gram_pair(), self.inst, weighting)
         return _joint_risk(self, weighting)
 
 

@@ -230,9 +230,9 @@ class TestConditionalRisk:
         for weighting in RiskWeighting:
             pairs = [
                 (conditional_risk(x1, x2, inst, None, weighting),
-                 _conditional_sequential_gram(x1, x2, inst, weighting)),
+                 _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting)),
                 (conditional_risk_joint(x1, x2, inst, weighting),
-                 _conditional_joint_gram(x1, x2, inst, weighting)),
+                 _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting)),
             ]
             for dense, gram in pairs:
                 assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
@@ -274,9 +274,9 @@ class TestConditionalRisk:
                 for weighting in RiskWeighting:
                     pairs = [
                         (conditional_risk(x1, x2, inst, None, weighting),
-                         _conditional_sequential_gram(x1, x2, inst, weighting)),
+                         _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting)),
                         (conditional_risk_joint(x1, x2, inst, weighting),
-                         _conditional_joint_gram(x1, x2, inst, weighting)),
+                         _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting)),
                     ]
                     for dense, gram in pairs:
                         assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
@@ -948,6 +948,21 @@ class TestWidePath:
         assert risks[:3] == risks[6:]
         assert risks[0] == conditional_risk(x1, x2, inst, None, RiskWeighting.TASK1)
 
+    @pytest.mark.parametrize("algorithm", [OCL(), Joint()])
+    def test_drawn_risk_scales_its_draw_in_place_and_keeps_none(self, algorithm):
+        # X1 and X2 are 2 n d floats; a scaled copy of each 4096-column
+        # block would add 2 n 4096 more, nearly as much again at this d
+        d, n = 4200, 300
+        replication = Replication(wide_instance(d), n, 1, 0)
+        tracemalloc.start()
+        try:
+            algorithm.risk(replication, RiskWeighting.JOINT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2 * n * d + 16 * n * n)
+        assert replication._designs is None
+
     @pytest.mark.parametrize("d", [4100, 60])
     def test_draws_equal_the_sampler_bit_for_bit(self, monkeypatch, d):
         threads = []
@@ -1034,6 +1049,116 @@ class TestWidePath:
         assert dec.bias == pytest.approx(bias, rel=1e-8, abs=1e-10)
         assert dec.variance == pytest.approx(variance, rel=1e-8, abs=1e-10)
         assert est.mean == pytest.approx(bias + variance, rel=1e-8)
+
+
+class TestCertifiedInverse:
+    """The Gram engines' K^+: np.linalg.inv where its certificate holds, else eigh with the cutoff."""
+
+    @staticmethod
+    def pair(duplicated=False):
+        rng = np.random.default_rng(31)
+        inst = gaussian_instance(rng, 300)
+        x1, x2 = sample_gaussian_design(inst.g, 20, 1), sample_gaussian_design(inst.h, 25, 2)
+        if duplicated:
+            x1[10:] = x1[:10]
+            x2[:5] = x2[5:10]
+        return inst, x1, x2
+
+    @staticmethod
+    def dense_risks(inst, x1, x2):
+        return [(conditional_risk(x1, x2, inst, None, weighting), conditional_risk_joint(x1, x2, inst, weighting))
+                for weighting in RiskWeighting]
+
+    @staticmethod
+    def assert_gram_risks_equal(inst, x1, x2, dense):
+        for weighting, want in zip(RiskWeighting, dense):
+            got = (_conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting),
+                   _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting))
+            for d, g in zip(want, got):
+                assert g.bias == pytest.approx(d.bias, rel=1e-8, abs=1e-10)
+                assert g.variance == pytest.approx(d.variance, rel=1e-8, abs=1e-10)
+
+    def test_well_conditioned_pair_takes_the_inverse(self, monkeypatch):
+        inst, x1, x2 = self.pair()
+        dense = self.dense_risks(inst, x1, x2)
+
+        def no_eigh(a):
+            raise AssertionError("a certified Gram was decomposed")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        self.assert_gram_risks_equal(inst, x1, x2, dense)
+
+    def test_rank_deficient_pair_falls_back_and_drops_directions(self, monkeypatch):
+        inst, x1, x2 = self.pair(duplicated=True)
+        k, cutoff = x1 @ x1.T, _eigen_cutoff_ratio(25, 300)
+        _, v, inv, keep = risk._pinv_parts(k, cutoff)
+        assert np.count_nonzero(keep) == 10
+        assert risk._pinv_sym(k, cutoff).tobytes() == ((v * inv) @ v.T).tobytes()
+        dense = self.dense_risks(inst, x1, x2)
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        self.assert_gram_risks_equal(inst, x1, x2, dense)
+        # per weighting: K1 and K2 of the sequential fit, K of the joint one
+        assert sizes == [20, 25, 45] * len(RiskWeighting)
+
+    @pytest.mark.parametrize("inverse", ["nan", "inf", "singular"])
+    def test_non_finite_or_failed_inverse_falls_back(self, monkeypatch, inverse):
+        inst, x1, x2 = self.pair()
+        k, cutoff = x1 @ x1.T, _eigen_cutoff_ratio(25, 300)
+        _, v, inv, keep = risk._pinv_parts(k, cutoff)
+        assert keep.all()
+        dense = self.dense_risks(inst, x1, x2)
+
+        def bad(a):
+            if inverse == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(a.shape, np.nan if inverse == "nan" else np.inf)
+
+        monkeypatch.setattr(np.linalg, "inv", bad)
+        assert risk._pinv_sym(k, cutoff).tobytes() == ((v * inv) @ v.T).tobytes()
+        self.assert_gram_risks_equal(inst, x1, x2, dense)
+
+
+class TestNestedReplications:
+    """Replication r at n is the first n rows, or draws, of replication r at any larger n.
+
+    Its seeds come from (seed, r, stream) and not from n, so the rows of a
+    sweep-n share common random numbers.
+    """
+
+    def test_gaussian_designs_and_grams(self):
+        inst = make_problem_pk(3, 6, Design.GAUSSIAN)
+        large = sampler.GRAM_BLOCK_ROWS + 500
+        for rep in (0, 5):
+            big = Replication(inst, large, 3, rep).designs()
+            for n in (1, 40, sampler.GRAM_BLOCK_ROWS + 1):
+                replication = Replication(inst, n, 3, rep)
+                for x, prefix in zip(replication.designs(), big):
+                    assert x.tobytes() == prefix[:n].tobytes()
+                # a replication with no designs forms its Grams by gaussian_gram, which
+                # sums blocks of rows: above one block, equal to rounding
+                for a, prefix in zip(Replication(inst, n, 3, rep).normal(), big):
+                    np.testing.assert_allclose(a, prefix[:n].T @ prefix[:n], rtol=1e-12)
+
+    def test_one_hot_counts_and_count_blocks(self):
+        inst = make_problem_pk(3, 6, Design.ONE_HOT)
+        large, reps = 500, 70
+        tags = (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN)
+        for n in (1, 37, 499):  # 499 draws make blocks of 32 replications
+            shared = Replications(inst, n, reps, seed=3)
+            for rep in (0, 1, 33, 69):
+                seeds = [sampler.stream_seed(3, rep, tag) for tag in tags]
+                big = [sample_one_hot_design(s, large, seed) for s, seed in zip((inst.g, inst.h), seeds)]
+                standalone = [sampler.sample_one_hot_counts(s, n, seed) for s, seed in zip((inst.g, inst.h), seeds)]
+                for counts in (shared[rep].counts(), standalone):
+                    for c, rows in zip(counts, big):
+                        assert c.tobytes() == rows[:n].sum(axis=0).tobytes()
 
 
 class TestAlgorithmProtocol:
