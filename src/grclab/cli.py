@@ -184,10 +184,13 @@ def _run_cells(config: ExperimentConfig, cells: list) -> str:
     """Write one CSV row per (algorithm, n, column) cell, in the order given.
 
     Every cell is checked before the first draw, with the output path,
-    so a bad config costs no compute and leaves no partial CSV.  The
-    cells of one n share one ``Replications``, made when that n comes up
-    and dropped after its cells, so one set of kept replications is alive
-    at a time.  The CSV is written once, at the end.
+    so a bad config costs no compute and leaves no partial CSV.  All
+    cells share one ``Replications`` over the distinct n, run one n at a
+    time, so one size's kept replications are alive at a time; a wide
+    Gaussian replication is drawn once, at the largest n, and its first
+    row computes the memory-free risks of every n.  Each row is still one
+    ``monte_carlo_expected_excess`` call.  The CSV is written once, at
+    the end.
     """
     directory = os.path.dirname(config.output_path) or "."
     if not os.path.isdir(directory):
@@ -201,8 +204,9 @@ def _run_cells(config: ExperimentConfig, cells: list) -> str:
         except GrclabError as exc:
             raise ConfigParse(f"{algorithm.label} at n={n}: {exc}") from exc
     rows = [CSV_HEADER] + [""] * len(cells)
-    for n in dict.fromkeys(n for _, n, _ in cells):
-        shared = Replications(inst, n, reps, seed)
+    sizes = dict.fromkeys(n for _, n, _ in cells)
+    shared = Replications(inst, list(sizes), reps, seed)
+    for n in sizes:
         for row, (algorithm, cell_n, column) in enumerate(cells, 1):
             if cell_n != n:
                 continue

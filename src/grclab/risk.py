@@ -258,70 +258,86 @@ def _scaled_grams(x1: np.ndarray, x2: np.ndarray, m: np.ndarray):
     return grams
 
 
-def _conditional_sequential_gram(pair: list, inst, weighting):
-    """Unregularized conditional risk from the Gram blocks of ``pair`` = [X1, X2], scaled and emptied.
+def _conditional_sequential_gram(pair: list, inst, weighting, sizes) -> list:
+    """Unregularized conditional risks from the Gram blocks of ``pair`` = [X1, X2], scaled and emptied.
 
-    P2 = I - X2^T (X2 X2^T)^+ X2 propagates the first-phase error, so the
-    first variance term is <(X1 P2) M (X1 P2)^T, A1^+2> in row space.
+    One risk per size of the ascending ``sizes``: the last is the whole
+    pair's, each other size n that of the first n rows of X1 and X2, read
+    from the leading blocks of the whole pair's Grams.  P2 = I - X2^T
+    (X2 X2^T)^+ X2 propagates the first-phase error, so the first variance
+    term is <(X1 P2) M (X1 P2)^T, A1^+2> in row space.
     """
     x1, x2 = pair
-    n1, d = x1.shape
-    n2 = x2.shape[0]
-    cutoff = _eigen_cutoff_ratio(max(n1, n2), d)
+    d = x1.shape[1]
     m = weight_vector(inst, weighting)
 
-    a1_plus = _pinv_sym(x1 @ x1.T, cutoff)
-    a2_plus = _pinv_sym(x2 @ x2.T, cutoff)
-    k12 = x1 @ x2.T
+    k1, k2, k12 = x1 @ x1.T, x2 @ x2.T, x1 @ x2.T
+    parts = []
+    for n in (*sizes[:-1], None):  # None: the whole pair
+        r1, r2 = x1[:n], x2[:n]
+        cutoff = _eigen_cutoff_ratio(max(len(r1), len(r2)), d)
+        a1_plus = _pinv_sym(k1[:n, :n], cutoff)
+        a2_plus = _pinv_sym(k2[:n, :n], cutoff)
+        u = inst.w_star - r1.T @ (a1_plus @ (r1 @ inst.w_star))
+        b = u - r2.T @ (a2_plus @ (r2 @ u))
+        parts.append((float(m @ (b * b)), a1_plus, a2_plus))
+    del k1, k2, r1, r2
 
-    u = inst.w_star - x1.T @ (a1_plus @ (x1 @ inst.w_star))
-    b = u - x2.T @ (a2_plus @ (x2 @ u))
-    bias = float(m @ (b * b))
-
-    core, w12, w22 = _scaled_grams(x1, x2, m)
+    w11, w12, w22 = _scaled_grams(x1, x2, m)
     del x1, x2, pair[:]  # the only references: the designs are freed here
-    t = k12 @ a2_plus
-    del k12
-    # (X1 P2) M (X1 P2)^T = W11 - T W12^T - W12 T^T + T W22 T^T, in place
-    tw = t @ w12.T
-    del w12
-    core -= tw
-    core -= tw.T
-    del tw
-    core += t @ w22 @ t.T
-    del t
-    var1 = float(np.einsum("ij,ji->", a1_plus @ core, a1_plus))
-    var2 = float(np.einsum("ij,ji->", a2_plus @ w22, a2_plus))
-    variance = inst.sigma2 * (var1 + var2)
-    return RiskDecomposition(bias=bias, variance=max(variance, 0.0))
+    risks = []
+    for bias, a1_plus, a2_plus in parts:
+        n1, n2 = len(a1_plus), len(a2_plus)
+        t = k12[:n1, :n2] @ a2_plus
+        # (X1 P2) M (X1 P2)^T = W11 - T W12^T - W12 T^T + T W22 T^T
+        core = w11[:n1, :n1].copy()
+        tw = t @ w12[:n1, :n2].T
+        core -= tw
+        core -= tw.T
+        del tw
+        core += t @ w22[:n2, :n2] @ t.T
+        del t
+        var1 = float(np.einsum("ij,ji->", a1_plus @ core, a1_plus))
+        var2 = float(np.einsum("ij,ji->", a2_plus @ w22[:n2, :n2], a2_plus))
+        variance = inst.sigma2 * (var1 + var2)
+        risks.append(RiskDecomposition(bias=bias, variance=max(variance, 0.0)))
+    return risks
 
 
-def _conditional_joint_gram(pair: list, inst, weighting):
-    """Stacked min-norm risk from the Gram blocks of ``pair`` = [X1, X2], scaled and emptied.
+def _conditional_joint_gram(pair: list, inst, weighting, sizes) -> list:
+    """Stacked min-norm risks from the Gram blocks of ``pair`` = [X1, X2], scaled and emptied.
 
-    bias = ||w* - Z^T K^+ Z w*||_M^2 and variance = sigma2 tr(K^+ W K^+),
-    with the cutoff of the dense joint path at n1 + n2 rows.
+    One risk per size, as in ``_conditional_sequential_gram``.  bias =
+    ||w* - Z^T K^+ Z w*||_M^2 and variance = sigma2 tr(K^+ W K^+), with
+    the cutoff of the dense joint path at n1 + n2 rows.
     """
     x1, x2 = pair
     n1, d = x1.shape
-    n = n1 + x2.shape[0]
-    cutoff = _eigen_cutoff_ratio(n, d)
     m = weight_vector(inst, weighting)
 
     k12 = x1 @ x2.T
-    k_plus = _pinv_sym(np.block([[x1 @ x1.T, k12], [k12.T, x2 @ x2.T]]), cutoff)
+    k = np.block([[x1 @ x1.T, k12], [k12.T, x2 @ x2.T]])
     del k12
-
-    c = k_plus @ np.concatenate([x1 @ inst.w_star, x2 @ inst.w_star])
-    pw = inst.w_star - x1.T @ c[:n1] - x2.T @ c[n1:]
-    bias = float(m @ (pw * pw))
+    parts = []
+    for n in (*sizes[:-1], None):  # None: the whole pair
+        r1, r2 = x1[:n], x2[:n]
+        rows = np.r_[: len(r1), n1 : n1 + len(r2)]
+        k_plus = _pinv_sym(k if n is None else k[np.ix_(rows, rows)], _eigen_cutoff_ratio(len(rows), d))
+        c = k_plus @ np.concatenate([r1 @ inst.w_star, r2 @ inst.w_star])
+        pw = inst.w_star - r1.T @ c[: len(r1)] - r2.T @ c[len(r1):]
+        parts.append((float(m @ (pw * pw)), k_plus, rows))
+    del k, r1, r2
 
     w11, w12, w22 = _scaled_grams(x1, x2, m)
     del x1, x2, pair[:]  # the only references: the designs are freed here
     w = np.block([[w11, w12], [w12.T, w22]])
     del w11, w12, w22
-    variance = inst.sigma2 * float(np.einsum("ij,ji->", k_plus @ w, k_plus))
-    return RiskDecomposition(bias=bias, variance=max(variance, 0.0))
+    risks = []
+    for bias, k_plus, rows in parts:
+        w_n = w if len(rows) == len(w) else w[np.ix_(rows, rows)]
+        variance = inst.sigma2 * float(np.einsum("ij,ji->", k_plus @ w_n, k_plus))
+        risks.append(RiskDecomposition(bias=bias, variance=max(variance, 0.0)))
+    return risks
 
 
 # -- one-hot count rows ---------------------------------------------------------
@@ -403,7 +419,8 @@ class Replication:
     X2: the first-phase fit and every top-k memory read the same
     eigenpairs.  A wide one keeps no design: each Gram risk scales a fresh
     draw in place and frees it, or a copy of the designs that ``designs()``
-    keeps or the caller gave.  A one-hot pair is its counts, drawn, given
+    keeps or the caller gave; a draw has the rows of the largest of
+    ``_sizes`` and serves every size.  A one-hot pair is its counts, drawn, given
     or enumerated, and never holds a design: its normal matrices are
     exactly diag(c1) and diag(c2), since a one-hot row adds 1 to one
     diagonal entry, and ``of_designs`` keeps only the column sums of
@@ -420,11 +437,13 @@ class Replication:
     concurrent use.
     """
 
-    __slots__ = ("inst", "n", "n2", "seed", "rep", "_designs", "_counts", "_normal", "_eig_a1")
+    __slots__ = ("inst", "n", "n2", "seed", "rep", "_designs", "_counts", "_normal", "_eig_a1", "_sizes",
+                 "_risks")
 
     def __init__(self, inst: ProblemInstance, n: int, seed: int, rep: int):
         self.inst, self.n, self.n2, self.seed, self.rep = inst, n, n, seed, rep
         self._designs = self._counts = self._normal = self._eig_a1 = None
+        self._sizes, self._risks = (n,), {}
 
     @classmethod
     def of_designs(cls, inst: ProblemInstance, x1: np.ndarray, x2: np.ndarray) -> "Replication":
@@ -451,15 +470,16 @@ class Replication:
     def _stream(self, tag: int) -> int:
         return sampler.stream_seed(self.seed, self.rep, tag)
 
-    def _draw_args(self, task: int) -> tuple:
-        """(spectrum, n, seed) of the draw of X1 (task 0) or X2 (task 1)."""
+    def _draw_args(self, task: int, rows: int | None = None) -> tuple:
+        """(spectrum, rows, seed) of the draw of X1 (task 0) or X2 (task 1), of n rows by default."""
+        rows = self.n if rows is None else rows
         if task:
-            return self.inst.h, self.n, self._stream(sampler.TASK2_DESIGN)
-        return self.inst.g, self.n, self._stream(sampler.TASK1_DESIGN)
+            return self.inst.h, rows, self._stream(sampler.TASK2_DESIGN)
+        return self.inst.g, rows, self._stream(sampler.TASK1_DESIGN)
 
-    def _draw(self, task: int) -> np.ndarray:
-        """Gaussian X1 (task 0) or X2 (task 1) drawn from its stream."""
-        return sampler.sample_gaussian_design(*self._draw_args(task))
+    def _draw(self, task: int, rows: int | None = None) -> np.ndarray:
+        """Gaussian X1 (task 0) or X2 (task 1) drawn from its stream, of n rows by default."""
+        return sampler.sample_gaussian_design(*self._draw_args(task, rows))
 
     @property
     def x1(self) -> np.ndarray:
@@ -475,23 +495,24 @@ class Replication:
             self._designs = tuple(self._gram_pair())
         return self._designs
 
-    def _gram_pair(self) -> list:
+    def _gram_pair(self, rows: int | None = None) -> list:
         """[X1, X2] that a Gram engine may scale and free: copies of held designs, else a draw not kept.
 
-        A wide Gaussian replication (d > NORMAL_PATH_MAX_D) draws X2 on a
-        helper thread while this one draws X1: ``standard_normal`` releases
-        the GIL, and each draw is a pure function of its own stream seed.
+        A draw has ``rows`` rows each, n by default.  A wide Gaussian
+        replication (d > NORMAL_PATH_MAX_D) draws X2 on a helper thread
+        while this one draws X1: ``standard_normal`` releases the GIL, and
+        each draw is a pure function of its own stream seed.
         """
         if self._designs is not None:
             return [x.copy() for x in self._designs]
         if not _wide(self.inst):
-            return [self._draw(0), self._draw(1)]
+            return [self._draw(0, rows), self._draw(1, rows)]
         # imported here: it loads logging, which no other path needs
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=1) as helper:
-            x2 = helper.submit(self._draw, 1)
-            return [self._draw(0), x2.result()]
+            x2 = helper.submit(self._draw, 1, rows)
+            return [self._draw(0, rows), x2.result()]
 
     def counts(self):
         """(c1, c2), how often each atom occurs in a one-hot X1 and X2."""
@@ -530,17 +551,34 @@ class Replication:
             c1, c2 = self.counts()
             rows = _conditional_sequential_onehot(c1[None], c2[None], self.n2, self.inst, gamma, weighting)
             return _one_row(rows)
-        if _wide(self.inst) and reg.is_zero:
-            return _conditional_sequential_gram(self._gram_pair(), self.inst, weighting)
+        if reg.is_zero:
+            return self._memory_free_risk(OCL, weighting)
         return _sequential_risk(self, reg, weighting)
 
     def joint_risk(self, weighting: RiskWeighting) -> RiskDecomposition:
         if self.one_hot:
             c1, c2 = self.counts()
             return _one_row(_conditional_joint_onehot(c1[None], c2[None], self.inst, weighting))
-        if _wide(self.inst):
-            return _conditional_joint_gram(self._gram_pair(), self.inst, weighting)
-        return _joint_risk(self, weighting)
+        return self._memory_free_risk(Joint, weighting)
+
+    def _memory_free_risk(self, kind, weighting: RiskWeighting) -> RiskDecomposition:
+        """The Gaussian risk of ``kind`` (OCL: a zero memory, or Joint) at n, kept per (kind, weighting).
+
+        A wide replication with no held designs computes it at every size
+        of ``_sizes`` from one draw at the largest; ``Replications`` gives
+        one rep's replications at every size the same kept risks.
+        """
+        risks = self._risks.setdefault((kind, weighting), {})
+        if self.n not in risks:
+            if _wide(self.inst):
+                engine = _conditional_joint_gram if kind is Joint else _conditional_sequential_gram
+                sizes = (self.n,) if self._designs is not None else self._sizes
+                risks.update(zip(sizes, engine(self._gram_pair(sizes[-1]), self.inst, weighting, sizes)))
+            elif kind is Joint:
+                risks[self.n] = _joint_risk(self, weighting)
+            else:
+                risks[self.n] = _sequential_risk(self, zero_regularizer(self.inst.d), weighting)
+        return risks[self.n]
 
 
 def conditional_risk(x1, x2, inst: ProblemInstance, sigma,
@@ -833,15 +871,21 @@ _SEED_RUN = 2**12
 
 
 class Replications:
-    """The ``reps`` replications of one (instance, n, reps, seed) cell.
+    """The ``reps`` replications of (instance, reps, seed) at one sample size n or several.
 
-    Rows of a sweep that share the cell share their seed streams, and
-    through one ``Replications`` they share the draws too: on the dense
-    path a replication is drawn inside the first row's estimate and its
-    A1, A2 and eigh(A1) serve every later row.  The first replications are
-    kept, each made on first use, so that at most ``memory_bytes`` are
-    held (3 d^2 floats per replication); the rest, and every replication
-    off the dense path, are drawn again for each row.
+    Rows of a sweep share their seed streams, and through one
+    ``Replications`` the draws too.  It serves one size ``n`` at a time,
+    and moving to another drops what the last kept.  On the dense path a
+    replication is drawn inside the first row's estimate and its A1, A2
+    and eigh(A1) serve every later row.  The first replications are kept,
+    each made on first use, so that at most ``memory_bytes`` are held
+    (3 d^2 floats per replication); the rest are drawn again for each row.
+
+    The memory-free risks of a Gaussian replication (a zero memory, and
+    ``Joint``) are kept as floats per (kind, weighting, rep), so ``ocl``
+    and ``grcl:topk:0`` rows share one solve.  A wide one (d >
+    NORMAL_PATH_MAX_D) computes them at every size on first request, from
+    one draw at the largest: replication r at n is its first n rows.
 
     One-hot replications are drawn as blocks of count rows, each block
     holding at most ``_COUNT_BLOCK`` draws and counts per task; the block
@@ -850,18 +894,30 @@ class Replications:
     ``_SEED_RUN`` replications long, and the run hashed last is kept.
     """
 
-    def __init__(self, inst: ProblemInstance, n: int, reps: int, seed: int,
+    def __init__(self, inst: ProblemInstance, n, reps: int, seed: int,
                  memory_bytes: int = SHARED_BYTES_MAX):
+        """``n`` is one sample size or an iterable of the sizes served."""
         if seed < 0:
             raise DimensionMismatch(f"need seed >= 0, got {seed}")
-        self.inst, self.n, self.reps, self.seed = inst, n, reps, seed
+        self.inst, self.reps, self.seed = inst, reps, seed
+        self.sizes = tuple(sorted(set(n))) if np.iterable(n) else (n,)
+        if not self.sizes:
+            raise DimensionMismatch("need at least one sample size")
         dense = inst.design is Design.GAUSSIAN and not _wide(inst)
         self._capacity = min(reps, memory_bytes // (3 * 8 * inst.d * inst.d)) if dense else 0
-        self._kept: dict[int, Replication] = {}
-        self._block_rows = max(1, _COUNT_BLOCK // max(n, inst.d))
-        self._run_rows = self._block_rows * max(1, _SEED_RUN // self._block_rows)
-        self._block = (0, None)  # first replication and (c1, c2) rows of the block drawn last
-        self._words = (0, None)  # first replication and design-stream words of the run hashed last
+        self._risks: dict[int, dict] = {}  # rep -> (kind, weighting) -> n -> RiskDecomposition
+        self.n = None
+        self._select(self.sizes[0])
+
+    def _select(self, n: int) -> None:
+        """Serve size ``n``, dropping the kept replications, count block and seed words of the last."""
+        if n != self.n:
+            self.n = n
+            self._kept: dict[int, Replication] = {}
+            self._block_rows = max(1, _COUNT_BLOCK // max(n, self.inst.d))
+            self._run_rows = self._block_rows * max(1, _SEED_RUN // self._block_rows)
+            self._block = (0, None)  # first replication and (c1, c2) rows of the block drawn last
+            self._words = (0, None)  # first replication and design-stream words of the run hashed last
 
     @property
     def one_hot(self) -> bool:
@@ -892,7 +948,9 @@ class Replications:
             if self.one_hot:
                 row = rep % self._block_rows
                 replication._counts = tuple(c[row] for c in self._count_block(rep - row))
-            elif rep < self._capacity:
+                return replication
+            replication._sizes, replication._risks = self.sizes, self._risks.setdefault(rep, {})
+            if rep < self._capacity:
                 self._kept[rep] = replication
         return replication
 
@@ -912,20 +970,23 @@ def monte_carlo_expected_excess(
     Noise is integrated analytically inside each replication, so the only
     randomness is the pair of designs (and a data-built regularizer, when
     the algorithm carries one).  Per-replication seeds derive from
-    (seed, replication, stream).  Pass the ``replications`` of (inst, n,
-    reps, seed) to share the draws with other estimates on the same cell;
-    the result does not change.  One-hot algorithms whose risk the counts
-    determine run a block of replications at a time; the result is that of
-    one replication at a time, bit for bit.
+    (seed, replication, stream).  Pass the ``replications`` of (inst,
+    reps, seed) at sizes that include n to share the draws with other
+    estimates.  The result does not change, except that the smaller sizes
+    of a wide Gaussian instance (d > NORMAL_PATH_MAX_D) are read from the
+    Grams of the largest, which moves them by rounding.  One-hot
+    algorithms whose risk the counts determine run a block of replications
+    at a time; the result is that of one replication at a time, bit for bit.
     """
     if reps < 2:
         raise DimensionMismatch(f"need reps >= 2, got {reps}")
     check_algorithm(algorithm, inst, n)
     if replications is None:
         replications = Replications(inst, n, reps, seed, memory_bytes=0)
-    elif (replications.inst is not inst
-          or (replications.n, replications.reps, replications.seed) != (n, reps, seed)):
+    elif (replications.inst is not inst or n not in replications.sizes
+          or (replications.reps, replications.seed) != (reps, seed)):
         raise DimensionMismatch("replications were drawn for another (instance, n, reps, seed)")
+    replications._select(n)
     starts = range(0, reps, replications._block_rows) if replications.one_hot else ()
     blocks = (replications._count_block(start) for start in starts)
     bias, variance = _risk_rows(algorithm, inst, n, weighting, reps, blocks, replications.__getitem__,

@@ -327,6 +327,24 @@ class TestSharedDraws:
         assert labels == [(a.label, str(n)) for a in cfg.algorithms for n in (6, 20)]
         assert_rows_equal_standalone(out, cfg)
 
+    def test_zero_memory_rows_share_one_solve(self, tmp_path, monkeypatch):
+        # per replication: eigh(A1), the S = A2 + n Sigma of k = 1 and k = 3, one
+        # S = A2 that the k = 0 and ocl rows share, and the joint A1 + A2
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        out = tmp_path / "k.csv"
+        text = SHARED_SWEEP_K.replace("0, 1, 3, 8", "0, 1, 3")
+        run_sweep_k(load_config(write_config(tmp_path / "c.cfg", text.format(out=out))))
+        assert calls == [(8, 8)] * 5 * 3
+        rows = {(cells[0], cells[2]): cells[3:] for cells in (line.split(",") for line in out.read_text().split())}
+        assert rows["grcl", "0"] == rows["ocl", ""]
+
 
 WIDE_SWEEP_N = """
 pk_k = 3
@@ -361,6 +379,26 @@ class TestWidePath:
         cfg = load_config(write_config(tmp_path / "c.cfg", WIDE_SWEEP_N.format(out=out)))
         run_sweep_n(cfg)
         assert_rows_equal_standalone(out, cfg)
+
+    def test_each_replication_is_drawn_once_at_the_largest_n(self, tmp_path, monkeypatch):
+        from grclab import sampler
+
+        draws = []
+        draw = sampler.sample_gaussian_design
+
+        def counted(s, n, seed):
+            draws.append((n, seed))
+            return draw(s, n, seed)
+
+        monkeypatch.setattr(sampler, "sample_gaussian_design", counted)
+        out = tmp_path / "n.csv"
+        text = WIDE_SWEEP_N.replace("n_values = 5, 9", "n_values = 7, 5, 9")
+        cfg = load_config(write_config(tmp_path / "c.cfg", text.format(out=out)))
+        run_sweep_n(cfg)
+        # one X1 and one X2 per replication and kind (ocl, joint), none per n
+        assert len(draws) == 2 * 2 * cfg.reps
+        assert {n for n, _ in draws} == {9} and len(set(draws)) == 2 * cfg.reps
+        assert len(out.read_text().splitlines()) == 1 + 2 * 3
 
     @pytest.mark.parametrize("design, algorithm", [
         ("gaussian", "l2rcl:0.1"),

@@ -230,9 +230,9 @@ class TestConditionalRisk:
         for weighting in RiskWeighting:
             pairs = [
                 (conditional_risk(x1, x2, inst, None, weighting),
-                 _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting)),
+                 _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
                 (conditional_risk_joint(x1, x2, inst, weighting),
-                 _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting)),
+                 _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
             ]
             for dense, gram in pairs:
                 assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
@@ -274,9 +274,9 @@ class TestConditionalRisk:
                 for weighting in RiskWeighting:
                     pairs = [
                         (conditional_risk(x1, x2, inst, None, weighting),
-                         _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting)),
+                         _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
                         (conditional_risk_joint(x1, x2, inst, weighting),
-                         _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting)),
+                         _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
                     ]
                     for dense, gram in pairs:
                         assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
@@ -963,6 +963,29 @@ class TestWidePath:
         assert peak < 8 * (2 * n * d + 16 * n * n)
         assert replication._designs is None
 
+    @pytest.mark.parametrize("algorithm", [OCL(), Joint()])
+    def test_smaller_sizes_add_no_draw_and_stay_under_the_single_size_bound(self, monkeypatch, algorithm):
+        d, sizes = 4200, (75, 150, 225, 300)
+        shared = Replications(wide_instance(d), sizes, 2, seed=1)
+        tracemalloc.start()
+        try:
+            first = algorithm.risk(shared[0], RiskWeighting.JOINT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = sizes[-1]
+        assert peak < 8 * (2 * n * d + 16 * n * n)
+
+        def no_draw(*args):
+            raise AssertionError("a design was drawn")
+
+        monkeypatch.setattr(sampler, "sample_gaussian_design", no_draw)
+        risks = []
+        for size in sizes:
+            shared._select(size)
+            risks.append(algorithm.risk(shared[0], RiskWeighting.JOINT))
+        assert risks[0] == first and len(set(risks)) == len(sizes)
+
     @pytest.mark.parametrize("d", [4100, 60])
     def test_draws_equal_the_sampler_bit_for_bit(self, monkeypatch, d):
         threads = []
@@ -1072,8 +1095,8 @@ class TestCertifiedInverse:
     @staticmethod
     def assert_gram_risks_equal(inst, x1, x2, dense):
         for weighting, want in zip(RiskWeighting, dense):
-            got = (_conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting),
-                   _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting))
+            got = (_conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0],
+                   _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0])
             for d, g in zip(want, got):
                 assert g.bias == pytest.approx(d.bias, rel=1e-8, abs=1e-10)
                 assert g.variance == pytest.approx(d.variance, rel=1e-8, abs=1e-10)
@@ -1123,6 +1146,68 @@ class TestCertifiedInverse:
         monkeypatch.setattr(np.linalg, "inv", bad)
         assert risk._pinv_sym(k, cutoff).tobytes() == ((v * inv) @ v.T).tobytes()
         self.assert_gram_risks_equal(inst, x1, x2, dense)
+
+
+class TestNestedGramEngines:
+    """One owned pair at the largest size gives the Gram risks of its leading rows at every size."""
+
+    sizes = (5, 12, 20, 25)
+
+    @staticmethod
+    def pair(duplicated=False):
+        rng = np.random.default_rng(41)
+        inst = gaussian_instance(rng, 300)
+        x1, x2 = sample_gaussian_design(inst.g, 25, 3), sample_gaussian_design(inst.h, 25, 4)
+        if duplicated:
+            x1[10:15] = x1[:5]
+        return inst, x1, x2
+
+    @pytest.mark.parametrize("engine", [_conditional_sequential_gram, _conditional_joint_gram])
+    def test_largest_size_equals_a_single_size_call(self, engine):
+        inst, x1, x2 = self.pair()
+        for weighting in RiskWeighting:
+            nested = engine([x1.copy(), x2.copy()], inst, weighting, self.sizes)
+            assert len(nested) == len(self.sizes)
+            assert nested[-1] == engine([x1.copy(), x2.copy()], inst, weighting, self.sizes[-1:])[0]
+
+    @pytest.mark.parametrize("engine", [_conditional_sequential_gram, _conditional_joint_gram])
+    def test_smaller_sizes_equal_the_prefix_designs(self, engine):
+        inst, x1, x2 = self.pair()
+        for weighting in RiskWeighting:
+            nested = engine([x1.copy(), x2.copy()], inst, weighting, self.sizes)
+            for n, got in zip(self.sizes, nested):
+                want, = engine([x1[:n].copy(), x2[:n].copy()], inst, weighting, (n,))
+                assert got.bias == pytest.approx(want.bias, rel=1e-8, abs=1e-10)
+                assert got.variance == pytest.approx(want.variance, rel=1e-8, abs=1e-10)
+
+    def test_prefix_with_duplicated_rows_falls_back_to_eigh(self, monkeypatch):
+        inst, x1, x2 = self.pair(duplicated=True)
+        sizes = (15, 25)
+        k1 = x1 @ x1.T
+        for n in sizes:
+            cutoff = _eigen_cutoff_ratio(n, 300)
+            kept = [np.count_nonzero(risk._pinv_parts(k, cutoff)[3]) for k in (k1[:n, :n], x1[:n] @ x1[:n].T)]
+            assert kept == [n - 5] * 2
+        want = [[(conditional_risk(x1[:n], x2[:n], inst, None, weighting),
+                  conditional_risk_joint(x1[:n], x2[:n], inst, weighting)) for n in sizes]
+                for weighting in RiskWeighting]
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            shapes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for weighting, dense in zip(RiskWeighting, want):
+            got = zip(_conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting, sizes),
+                      _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting, sizes))
+            for pairs, dense_pairs in zip(got, dense):
+                for g, d in zip(pairs, dense_pairs):
+                    assert g.bias == pytest.approx(d.bias, rel=1e-8, abs=1e-10)
+                    assert g.variance == pytest.approx(d.variance, rel=1e-8, abs=1e-10)
+        # only the singular Grams are decomposed: K1 at each size, then the stacked K
+        assert shapes == [15, 25, 30, 50] * len(RiskWeighting)
 
 
 class TestNestedReplications:
