@@ -197,14 +197,12 @@ def _joint_risk(rep: Replication, weighting):
 # W = Z M Z^T with Z = [X1; X2], through (X^T X)^+ = X^T (X X^T)^+2 X.
 # Each is one symmetric product: syrk on the diagonal blocks, one GEMM off
 # it.  An engine owns the pair it is given: it forms K and the bias from
-# the designs as drawn, then scales them by sqrt(m) in place to sum W, and
-# frees them before the n x n phase.
-
-# Columns of Z per step of the W sum.  Each step scales one block of
-# columns of X1 and X2 in place and adds three n x n products, so narrower
-# steps cost more adds per flop: 4096 keeps the sum within about 6% of
-# three plain products at n = 1000 and 4000.
-_GRAM_BLOCK_COLUMNS = 4096
+# the designs as drawn, then scales them by sqrt(m) in place for W, and
+# frees them before the n x n phase.  K and W stay n x n blocks: one
+# 2n x 2n product of Z is about 7% faster, but freeing a 2n x 2n block
+# raises glibc's dynamic mmap and trim thresholds, so later n x n blocks
+# come from heap that is not returned (the gram-wide benchmark's peak RSS
+# rose by 10-26 MB, and fell back with MALLOC_TRIM_THRESHOLD_=0).
 
 
 def _check_normal_matrices(inst: ProblemInstance) -> None:
@@ -240,22 +238,26 @@ def _pinv_sym(sym: np.ndarray, cutoff_ratio: float) -> np.ndarray:
 
 
 def _scaled_grams(x1: np.ndarray, x2: np.ndarray, m: np.ndarray):
-    """W11 = X1 M X1^T, W12 = X1 M X2^T and W22 = X2 M X2^T, scaling column blocks in place."""
-    n1, d = x1.shape
-    n2 = x2.shape[0]
+    """W11 = X1 M X1^T, W12 = X1 M X2^T and W22 = X2 M X2^T, scaling X1 and X2 by sqrt(m) in place."""
     root = np.sqrt(m)
-    width = _GRAM_BLOCK_COLUMNS
-    product = np.empty(max(n1, n2) ** 2)
-    grams = (np.zeros((n1, n1)), np.zeros((n1, n2)), np.zeros((n2, n2)))
-    for start in range(0, d, width):
-        cols = slice(start, start + width)
-        s1, s2 = x1[:, cols], x2[:, cols]
-        s1 *= root[cols]
-        s2 *= root[cols]
-        for gram, left, right in zip(grams, (s1, s1, s2), (s1, s2, s2)):
-            out = product[: gram.size].reshape(gram.shape)
-            gram += np.matmul(left, right.T, out=out)  # syrk when left is right
-    return grams
+    x1 *= root
+    x2 *= root
+    return x1 @ x1.T, x1 @ x2.T, x2 @ x2.T
+
+
+def _project_out(x, vectors, prefixes, cutoffs):
+    """K^+ of each leading block of K = X X^T, and each vector minus its projection on that block's rows.
+
+    K is freed on return.  Each residual follows its inverse: after all the inverses, glibc's heap
+    was more fragmented at the W products (gram-wide peak RSS 468 MB instead of 463 MB).
+    """
+    k = x @ x.T
+    inverses, residuals = [], []
+    for n, cutoff, v in zip(prefixes, cutoffs, vectors):
+        plus = _pinv_sym(k[:n, :n], cutoff)
+        inverses.append(plus)
+        residuals.append(v - x[:n].T @ (plus @ (x[:n] @ v)))
+    return inverses, residuals
 
 
 def _conditional_sequential_gram(pair: list, inst, weighting, sizes) -> list:
@@ -268,25 +270,20 @@ def _conditional_sequential_gram(pair: list, inst, weighting, sizes) -> list:
     term is <(X1 P2) M (X1 P2)^T, A1^+2> in row space.
     """
     x1, x2 = pair
-    d = x1.shape[1]
     m = weight_vector(inst, weighting)
+    prefixes = (*sizes[:-1], None)  # None: the whole pair
+    cutoffs = [_eigen_cutoff_ratio(max(len(x1[:n]), len(x2[:n])), inst.d) for n in prefixes]
 
-    k1, k2, k12 = x1 @ x1.T, x2 @ x2.T, x1 @ x2.T
-    parts = []
-    for n in (*sizes[:-1], None):  # None: the whole pair
-        r1, r2 = x1[:n], x2[:n]
-        cutoff = _eigen_cutoff_ratio(max(len(r1), len(r2)), d)
-        a1_plus = _pinv_sym(k1[:n, :n], cutoff)
-        a2_plus = _pinv_sym(k2[:n, :n], cutoff)
-        u = inst.w_star - r1.T @ (a1_plus @ (r1 @ inst.w_star))
-        b = u - r2.T @ (a2_plus @ (r2 @ u))
-        parts.append((float(m @ (b * b)), a1_plus, a2_plus))
-    del k1, k2, r1, r2
+    # bias vectors: w* minus its projection on the rows of X1, then X2; K1 is freed before K2, K2 before K12
+    a1_pluses, u = _project_out(x1, [inst.w_star] * len(prefixes), prefixes, cutoffs)
+    a2_pluses, b = _project_out(x2, u, prefixes, cutoffs)
+    biases = [float(m @ (v * v)) for v in b]
 
+    k12 = x1 @ x2.T
     w11, w12, w22 = _scaled_grams(x1, x2, m)
     del x1, x2, pair[:]  # the only references: the designs are freed here
     risks = []
-    for bias, a1_plus, a2_plus in parts:
+    for bias, a1_plus, a2_plus in zip(biases, a1_pluses, a2_pluses):
         n1, n2 = len(a1_plus), len(a2_plus)
         t = k12[:n1, :n2] @ a2_plus
         # (X1 P2) M (X1 P2)^T = W11 - T W12^T - W12 T^T + T W22 T^T
@@ -308,7 +305,8 @@ def _conditional_joint_gram(pair: list, inst, weighting, sizes) -> list:
     """Stacked min-norm risks from the Gram blocks of ``pair`` = [X1, X2], scaled and emptied.
 
     One risk per size, as in ``_conditional_sequential_gram``.  bias =
-    ||w* - Z^T K^+ Z w*||_M^2 and variance = sigma2 tr(K^+ W K^+), with
+    ||w* - Z^T K^+ Z w*||_M^2 and variance = sigma2 tr(K^+ W K^+) =
+    sigma2 <K^+ K^+, W>, read block by block from W11, W12 and W22, with
     the cutoff of the dense joint path at n1 + n2 rows.
     """
     x1, x2 = pair
@@ -325,17 +323,18 @@ def _conditional_joint_gram(pair: list, inst, weighting, sizes) -> list:
         k_plus = _pinv_sym(k if n is None else k[np.ix_(rows, rows)], _eigen_cutoff_ratio(len(rows), d))
         c = k_plus @ np.concatenate([r1 @ inst.w_star, r2 @ inst.w_star])
         pw = inst.w_star - r1.T @ c[: len(r1)] - r2.T @ c[len(r1):]
-        parts.append((float(m @ (pw * pw)), k_plus, rows))
+        parts.append((float(m @ (pw * pw)), k_plus, len(r1), len(r2)))
     del k, r1, r2
 
     w11, w12, w22 = _scaled_grams(x1, x2, m)
     del x1, x2, pair[:]  # the only references: the designs are freed here
-    w = np.block([[w11, w12], [w12.T, w22]])
-    del w11, w12, w22
     risks = []
-    for bias, k_plus, rows in parts:
-        w_n = w if len(rows) == len(w) else w[np.ix_(rows, rows)]
-        variance = inst.sigma2 * float(np.einsum("ij,ji->", k_plus @ w_n, k_plus))
+    for bias, k_plus, r, s in parts:
+        p = k_plus @ k_plus.T  # K^+ K^+ of the symmetric K^+, as one syrk
+        inner = (np.einsum("ij,ij->", p[:r, :r], w11[:r, :r])
+                 + 2.0 * np.einsum("ij,ij->", p[:r, r:], w12[:r, :s])
+                 + np.einsum("ij,ij->", p[r:, r:], w22[:s, :s]))
+        variance = inst.sigma2 * float(inner)
         risks.append(RiskDecomposition(bias=bias, variance=max(variance, 0.0)))
     return risks
 

@@ -260,7 +260,7 @@ class TestConditionalRisk:
         with pytest.raises(NotOneHotDesign):
             conditional_risk_joint(dense, x1, inst)
 
-    def test_gram_path_matches_dense_path(self, monkeypatch):
+    def test_gram_path_matches_dense_path(self):
         rng = np.random.default_rng(21)
         shapes = [(6, 8, 4), (5, 5, 12), (9, 4, 9), (40, 25, 300), (25, 40, 300), (200, 150, 120)]
         for n1, n2, d in shapes:
@@ -268,19 +268,16 @@ class TestConditionalRisk:
             x1 = sample_gaussian_design(inst.g, n1, int(rng.integers(2**31)))
             x2 = sample_gaussian_design(inst.h, n2, int(rng.integers(2**31)))
             before = x1.tobytes(), x2.tobytes()
-            # one column block, then 64-column blocks with a partial last one
-            for block_columns in (4096, 64):
-                monkeypatch.setattr("grclab.risk._GRAM_BLOCK_COLUMNS", block_columns)
-                for weighting in RiskWeighting:
-                    pairs = [
-                        (conditional_risk(x1, x2, inst, None, weighting),
-                         _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
-                        (conditional_risk_joint(x1, x2, inst, weighting),
-                         _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
-                    ]
-                    for dense, gram in pairs:
-                        assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
-                        assert gram.variance == pytest.approx(dense.variance, rel=1e-8, abs=1e-10)
+            for weighting in RiskWeighting:
+                pairs = [
+                    (conditional_risk(x1, x2, inst, None, weighting),
+                     _conditional_sequential_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
+                    (conditional_risk_joint(x1, x2, inst, weighting),
+                     _conditional_joint_gram([x1.copy(), x2.copy()], inst, weighting, (len(x1),))[0]),
+                ]
+                for dense, gram in pairs:
+                    assert gram.bias == pytest.approx(dense.bias, rel=1e-8, abs=1e-10)
+                    assert gram.variance == pytest.approx(dense.variance, rel=1e-8, abs=1e-10)
             assert (x1.tobytes(), x2.tobytes()) == before
 
     def test_bias_ignores_noise_level_and_variance_scales(self):
@@ -950,8 +947,8 @@ class TestWidePath:
 
     @pytest.mark.parametrize("algorithm", [OCL(), Joint()])
     def test_drawn_risk_scales_its_draw_in_place_and_keeps_none(self, algorithm):
-        # X1 and X2 are 2 n d floats; a scaled copy of each 4096-column
-        # block would add 2 n 4096 more, nearly as much again at this d
+        # X1 and X2 are 2 n d floats; a scaled copy of them for W would
+        # add as much again
         d, n = 4200, 300
         replication = Replication(wide_instance(d), n, 1, 0)
         tracemalloc.start()
@@ -962,6 +959,24 @@ class TestWidePath:
             tracemalloc.stop()
         assert peak < 8 * (2 * n * d + 16 * n * n)
         assert replication._designs is None
+
+    @pytest.mark.parametrize("sizes", [(300,), (75, 150, 300)])
+    def test_drawn_ocl_holds_one_phase_of_gram_blocks_beside_its_draw(self, sizes):
+        # beside X1 and X2 only A1^+, A2^+, K12, W11, W12 and W22 are n x n:
+        # K1 and K2 are freed before K12; each smaller size adds its A1^+ and A2^+.
+        # Both modules are imported on first use; their imports are not the engine's.
+        import concurrent.futures  # noqa: F401
+        import numpy.random  # noqa: F401
+
+        d, n = 4200, sizes[-1]
+        replication = Replications(wide_instance(d), sizes, 2, seed=1)[0]
+        tracemalloc.start()
+        try:
+            OCL().risk(replication, RiskWeighting.JOINT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (2 * n * d + 7 * n * n + 2 * sum(s * s for s in sizes[:-1]))
 
     @pytest.mark.parametrize("algorithm", [OCL(), Joint()])
     def test_smaller_sizes_add_no_draw_and_stay_under_the_single_size_bound(self, monkeypatch, algorithm):
