@@ -101,6 +101,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 2:
             raise ConfigParse(f"reps must be >= 2, got {self.reps}")
+        if self.reps > 2**32:  # one-hot seeding takes replication indices below 2**32
+            raise ConfigParse(f"reps must be <= 2**32, got {self.reps}")
         if self.seed < 0:
             raise ConfigParse(f"seed must be >= 0, got {self.seed}")
 
@@ -230,6 +232,8 @@ def run_sweep_n(config: ExperimentConfig) -> str:
     """
     if not config.n_values:
         raise ConfigParse("sweep-n needs a nonempty n_values list")
+    if not config.algorithms:
+        raise ConfigParse("sweep-n needs a nonempty algorithms list")
     return _run_cells(config, [(a, n, a.label) for a in config.algorithms for n in config.n_values])
 
 

@@ -79,22 +79,22 @@ class Spectrum:
         return np.minimum(idx, self.last_atom, out=idx)
 
     @cached_property
-    def guide(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Guide table (lo, split) of the inverse CDF over ``GUIDE_CELLS`` cells of [0, 1).
+    def guide(self) -> np.ndarray | None:
+        """Guide table of the inverse CDF over ``GUIDE_CELLS`` cells of [0, 1).
 
-        ``lo[k]`` is ``search(u)`` at u = k / G.  That atom is monotone in
-        u, so every draw of cell k has atom ``lo[k]`` unless ``split[k]``:
-        the atoms of the cell's two ends differ.  None where more than half
-        the cells are split (wide spectra): the table then spares too few
-        searches to pay for its own lookups.
+        Entry k is ``search(u)`` at both ends u = k / G and (k + 1) / G of
+        cell k where the two agree, and -1 where they differ (the cell is
+        split).  The search is monotone in u, so every draw of an unsplit
+        cell has the cell's atom.  None where more than half the cells are
+        split (wide spectra): the table then spares too few searches to pay
+        for its own lookups.
         """
         atoms = self.search(np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS)
-        lo, split = atoms[:-1], atoms[:-1] != atoms[1:]
-        if np.count_nonzero(split) > GUIDE_CELLS // 2:
+        table = np.where(atoms[:-1] == atoms[1:], atoms[:-1], -1)
+        if np.count_nonzero(table < 0) > GUIDE_CELLS // 2:
             return None
-        lo.setflags(write=False)
-        split.setflags(write=False)
-        return lo, split
+        table.setflags(write=False)
+        return table
 
 
 def make_spectrum(values, one_hot: bool = False) -> Spectrum:

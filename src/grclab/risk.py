@@ -865,7 +865,8 @@ SHARED_BYTES_MAX = 512 * 2**20
 _COUNT_BLOCK = 2**14
 
 # Replications whose generator words are hashed at once, or one block if more:
-# a hash costs about 0.1 ms a call at any length, so small blocks share one.
+# one call for both tasks costs about 0.1 ms up to a few hundred replications
+# and 0.8 ms at 2^12 (numpy 2.4, one Xeon core), so small blocks share one.
 _SEED_RUN = 2**12
 
 
@@ -890,7 +891,8 @@ class Replications:
     holding at most ``_COUNT_BLOCK`` draws and counts per task; the block
     drawn last is kept, so a cell of one block is drawn once for all rows.
     Their generator words are hashed for runs of whole blocks, at least
-    ``_SEED_RUN`` replications long, and the run hashed last is kept.
+    ``_SEED_RUN`` replications long, both tasks in one call, and the run
+    hashed last is kept.
     """
 
     def __init__(self, inst: ProblemInstance, n, reps: int, seed: int,
@@ -927,11 +929,10 @@ class Replications:
         first, rows = self._block
         if rows is None or first != start:
             run, words = self._words
-            if words is None or not run <= start < run + len(words[0]):
+            if words is None or not run <= start < run + words.shape[1]:
                 run = start
                 reps = np.arange(run, min(run + self._run_rows, self.reps))
-                words = tuple(sampler.pcg64_words(sampler.stream_seeds(self.seed, reps, tag))
-                              for tag in (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN))
+                words = sampler.stream_words(self.seed, reps, (sampler.TASK1_DESIGN, sampler.TASK2_DESIGN))
                 self._words = (run, words)
             block = slice(start - run, start - run + self._block_rows)
             rows = tuple(sampler.sample_one_hot_count_block(s, self.n, w[block])

@@ -4,12 +4,13 @@ Every operation is a pure function of (inputs, seed).  The seed of one
 stream of one replication derives from (master_seed, replication_index,
 stream_tag) through ``numpy.random.SeedSequence``, so a replication's
 draws do not depend on which others are drawn with it.  One-hot Monte
-Carlo draws its counts a block of replications at a time: ``stream_seeds``
-and ``pcg64_words`` run SeedSequence's hash for many replications at once
-in uint32 array arithmetic, and each replication's generator starts from
-the PCG64 words that ``numpy.random.default_rng`` would derive from its
-seed, so a block draws exactly what the replications would draw one by
-one.  ``gaussian_gram`` forms X^T X of a Gaussian design from blocks of
+Carlo draws its counts a block of replications at a time:
+``stream_words`` runs SeedSequence's hash in uint32 array arithmetic over
+every (stream, replication) pair of a run at once, both the stream seed's
+hash and the hash that ``numpy.random.default_rng`` applies to that seed,
+and each replication's generator starts from the PCG64 words it yields,
+so a block draws exactly what the replications would draw one by one.
+``gaussian_gram`` forms X^T X of a Gaussian design from blocks of
 its rows, so the n x d design is never held.
 """
 
@@ -39,91 +40,79 @@ def stream_seed(master_seed: int, replication: int, tag: int) -> int:
 # numpy.random.SeedSequence's hash constants, pool size and shift.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _XSHIFT = np.uint32(16)
+# The pool words each pool word mixes into, in SeedSequence's order.
+_OTHERS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
 
 
-def _uint32_words(value: int) -> list[int]:
-    """The 32-bit words of a nonnegative int, least significant first, as SeedSequence splits it."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+@functools.cache
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constant before each of ``steps`` steps and after the last: a uint32 column."""
+    const = [init]
+    for _ in range(steps):
+        const.append(const[-1] * mult & _MASK32)
+    return np.array(const, dtype=np.uint32)[:, None]
 
 
-def _seed_sequence_state(entropy: list[np.ndarray], n_words: int) -> list[np.ndarray]:
-    """``SeedSequence(e).generate_state(n_words)`` of each column e of ``entropy``.
+def _hash(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` by row, row i taking constants ``const[i]`` and ``const[i + 1]``."""
+    value = value ^ const[:-1]
+    value *= const[1:]
+    return value ^ (value >> _XSHIFT)
 
-    ``entropy`` is a list of equal-length uint32 arrays, one per entropy
-    word, and the result one uint32 array per state word.  The hash
-    constant steps the same way for every column, so it is a Python int;
-    array arithmetic wraps modulo 2^32 without overflow warnings.
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words)`` of each column e of the uint32 rows ``entropy``.
+
+    Entropy shorter than the pool is padded with zero words, as numpy
+    pads it; uint32 array arithmetic wraps modulo 2^32 without warnings.
     """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> _XSHIFT)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    extra = len(entropy) - _POOL_SIZE
+    if extra < 0:
+        entropy = np.concatenate([entropy, np.zeros((-extra, entropy.shape[1]), np.uint32)])
+    const = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * max(extra, 0))
+    pool = _hash(entropy[:_POOL_SIZE], const[:_POOL_SIZE + 1])
+    step = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], const[step:step + _POOL_SIZE]))
+        step += _POOL_SIZE - 1
     for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = _INIT_B
-    state = []
-    for i in range(n_words):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state.append(value ^ (value >> _XSHIFT))
-    return state
+        pool = _mix(pool, _hash(word, const[step:step + _POOL_SIZE + 1]))
+        step += _POOL_SIZE
+    return _hash(pool[np.arange(n_words) % _POOL_SIZE], _hash_constants(_INIT_B, _MULT_B, n_words))
 
 
-def stream_seeds(master_seed: int, replications, tag: int) -> np.ndarray:
-    """``stream_seed(master_seed, r, tag)`` of each r in ``replications``, as uint64.
+def stream_words(master_seed: int, replications, tags) -> np.ndarray:
+    """The PCG64 words of each stream tag t and replication r, shape (tags, replications, 4).
 
-    Every replication index must lie in [0, 2^32).
+    Row (t, r) is ``SeedSequence(stream_seed(master_seed, r, t)).generate_state(4, np.uint64)``,
+    the words ``default_rng`` derives from that stream seed.  Both hashes
+    run over every (t, r) column at once, the stream seed's two words
+    feeding the second as its entropy.  Every replication index must lie
+    in [0, 2^32).
     """
     reps = np.asarray(replications)
     if reps.size and not (reps.min() >= 0 and reps.max() <= _MASK32):
         raise DimensionMismatch("replication indices must lie in [0, 2**32)")
     if master_seed < 0:
         raise DimensionMismatch(f"need seed >= 0, got {master_seed}")
-    reps = reps.astype(np.uint32)
-
-    def column(words):
-        return [np.full(reps.shape, w, dtype=np.uint32) for w in words]
-
-    entropy = column(_uint32_words(master_seed)) + [reps] + column(_uint32_words(tag))
-    low, high = _seed_sequence_state(entropy, 2)
-    return low.astype(np.uint64) | (high.astype(np.uint64) << np.uint64(32))
-
-
-def pcg64_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` of each uint64 seed s, one row each.
-
-    A seed below 2^32 is one entropy word, not two; both hash alike,
-    since entropy shorter than the pool is padded with zero words.
-    """
-    low, high = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
-    entropy = [low.astype(np.uint32), high.astype(np.uint32)]
-    state = np.stack(_seed_sequence_state(entropy, 8), axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    master = [master_seed >> shift & _MASK32 for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(master) + 2, len(tags), reps.size), np.uint32)
+    entropy[:-2] = np.array(master, np.uint32)[:, None, None]
+    entropy[-2] = reps
+    entropy[-1] = np.array(tags, np.uint32)[:, None]
+    seeds = _seed_sequence_state(entropy.reshape(len(entropy), -1), 2)
+    words = np.ascontiguousarray(_seed_sequence_state(seeds, 8).T, dtype="<u4")
+    return words.view("<u8").astype(np.uint64, copy=False).reshape(len(tags), reps.size, 4)
 
 
 @functools.cache
@@ -160,10 +149,8 @@ def _one_hot_atoms(s: Spectrum, u: np.ndarray) -> np.ndarray:
         raise NotAProbabilitySpectrum("design spectrum must be one-hot")
     if s.guide is None:
         return s.search(u)
-    lo, split = s.guide
-    cell = (u * GUIDE_CELLS).astype(np.intp)
-    idx = lo[cell]
-    in_split = np.flatnonzero(split[cell])
+    idx = s.guide[(u * GUIDE_CELLS).astype(np.intp)]
+    in_split = np.flatnonzero(idx < 0)
     if in_split.size:
         np.put(idx, in_split, s.search(np.take(u, in_split)))
     return idx
@@ -199,15 +186,18 @@ def sample_one_hot_counts(s: Spectrum, n: int, seed) -> np.ndarray:
 
 
 def sample_one_hot_count_block(s: Spectrum, n: int, words: np.ndarray) -> np.ndarray:
-    """Row i is ``sample_one_hot_counts(s, n, seed)``, where ``words[i]`` is ``pcg64_words`` of that seed.
+    """Row i is ``sample_one_hot_counts(s, n, seed)``, where ``words[i]`` is that seed's PCG64 words.
 
-    Each row's generator starts from its seed's PCG64 words, hashed
-    already, and all rows share one inverse-CDF search.
+    Each row's generator starts from its seed's words (``stream_words``),
+    hashed already, through one seed-words object, and all rows share one
+    inverse-CDF search.
     """
-    seed_words = _seed_words_type()
+    seed_words = _seed_words_type()(None)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     u = np.empty((len(words), n))
     for row, state in zip(u, words):
-        np.random.Generator(np.random.PCG64(seed_words(state))).random(out=row)
+        seed_words.words = state
+        generator(pcg64(seed_words)).random(out=row)
     return _one_hot_count_rows(s, u)
 
 

@@ -77,6 +77,18 @@ class TestConfig:
         with pytest.raises(ConfigParse):
             config_from_fields({"reps": "1"})
 
+    @pytest.mark.parametrize("reps", [2**32 + 1, 5 * 10**9])
+    def test_reps_above_the_seed_range_exit_2(self, reps, tmp_path, capsys):
+        # one-hot replication indices must lie below 2**32; refused before any (2, reps) allocation
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path / "c.cfg", f"pk_k = 3\npk_d = 8\ndesign = one_hot\nn_values = 4\n"
+                                                f"algorithms = ocl\nreps = {reps}\noutput = {out}\n")
+        assert main(["sweep-n", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"config error: reps must be <= 2**32, got {reps}\n"
+        assert config_from_fields({"reps": str(2**32)}).reps == 2**32
+
     @pytest.mark.parametrize(
         "token", ["l2rcl", "l2rcl:x", "l2rcl:-1", "grcl", "grcl:topk", "grcl:bogus:1", "what"]
     )
@@ -212,6 +224,16 @@ output = {out}
         cfg = config_from_fields({"n_values": "", "reps": "2"})
         with pytest.raises(ConfigParse):
             run_sweep_n(cfg)
+
+    @pytest.mark.parametrize("algorithms", [",", "", " , "])
+    def test_empty_algorithms_rejected(self, algorithms, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        path = write_config(tmp_path / "c.cfg", f"pk_k = 3\npk_d = 8\nn_values = 40\nalgorithms = {algorithms}\n"
+                                                f"reps = 2\noutput = {out}\n")
+        assert main(["sweep-n", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "config error: sweep-n needs a nonempty algorithms list\n"
 
     def test_no_signal_no_noise_sweep_is_zero(self, tmp_path):
         from grclab.model import Design, ProblemInstance, instance_to_text, make_spectrum

@@ -771,10 +771,36 @@ class TestOneHotCounts:
         def forbidden(*args):
             raise AssertionError("a standalone replication hashed a block of seeds")
 
-        monkeypatch.setattr(sampler, "stream_seeds", forbidden)
+        monkeypatch.setattr(sampler, "stream_words", forbidden)
         for rep, counts in want.items():
             got = Replication(inst, n, seed, rep).counts()
             assert [c.tobytes() for c in got] == [c.tobytes() for c in counts]
+
+    def test_one_seed_run_hashes_once_for_both_tasks(self, monkeypatch):
+        # 7 replications in blocks of 2, all inside one seed run: one hash call gives
+        # the words of both design streams, for every block and every row of the cell,
+        # in two passes of SeedSequence's hash (stream seeds, then their words)
+        inst, n, reps, seed = zero_mass_instance(), 4, 7, 3
+        monkeypatch.setattr(risk, "_COUNT_BLOCK", 2 * max(n, inst.d))
+        calls, passes = [], []
+        hash_words, hash_pass = sampler.stream_words, sampler._seed_sequence_state
+
+        def counted(master, replications, tags):
+            calls.append((master, list(replications), list(tags)))
+            return hash_words(master, replications, tags)
+
+        def counted_pass(entropy, n_words):
+            passes.append(entropy.shape[1])
+            return hash_pass(entropy, n_words)
+
+        monkeypatch.setattr(sampler, "stream_words", counted)
+        monkeypatch.setattr(sampler, "_seed_sequence_state", counted_pass)
+        shared = Replications(inst, n, reps, seed)
+        assert shared._block_rows == 2 and shared._run_rows >= reps
+        for algorithm in (OCL(), Joint(), Sketch(2)):
+            monte_carlo_expected_excess(inst, algorithm, n, reps, seed, replications=shared)
+        assert calls == [(seed, list(range(reps)), [sampler.TASK1_DESIGN, sampler.TASK2_DESIGN])]
+        assert passes == [2 * reps, 2 * reps]
 
     def test_custom_algorithm_runs_one_replication_at_a_time(self):
         class Custom:

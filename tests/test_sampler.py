@@ -25,7 +25,7 @@ from grclab.sampler import (
     sample_one_hot_counts,
     sample_one_hot_design,
     stream_seed,
-    stream_seeds,
+    stream_words,
 )
 
 TAGS = (TASK1_DESIGN, TASK1_NOISE, TASK2_DESIGN, TASK2_NOISE, REGULARIZER_STREAM)
@@ -107,13 +107,13 @@ class TestOneHotCounts:
 
 
     @settings(max_examples=50, deadline=None)
-    @given(s=one_hot_spectra(), n=st.integers(1, 40),
-           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=6))
-    def test_block_rows_are_the_single_draws(self, s, n, seeds):
-        block = sample_one_hot_count_block(s, n, sampler.pcg64_words(np.array(seeds, dtype=np.uint64)))
-        assert block.dtype == np.float64 and block.shape == (len(seeds), s.d)
-        for row, seed in zip(block, seeds):
-            assert row.tobytes() == sample_one_hot_counts(s, n, seed).tobytes()
+    @given(s=one_hot_spectra(), n=st.integers(1, 40), master=st.integers(0, 2**64),
+           reps=st.lists(st.integers(0, 2**32 - 1), min_size=0, max_size=6))
+    def test_block_rows_are_the_single_draws(self, s, n, master, reps):
+        block = sample_one_hot_count_block(s, n, stream_words(master, reps, [TASK2_DESIGN])[0])
+        assert block.dtype == np.float64 and block.shape == (len(reps), s.d)
+        for row, rep in zip(block, reps):
+            assert row.tobytes() == sample_one_hot_counts(s, n, stream_seed(master, rep, TASK2_DESIGN)).tobytes()
 
 
 @st.composite
@@ -157,6 +157,12 @@ class TestGuideTable:
         np.testing.assert_array_equal(sampler._one_hot_atoms(s, block), np.stack([want, want[::-1]]))
         if kind == "uniform" and np.count_nonzero(s.values) > GUIDE_CELLS:
             assert s.guide is None
+        if s.guide is not None:
+            # a cell's code is the atom at both of its ends where they agree, -1 where they differ
+            left, right = s.search(edges[:-1]), s.search(edges[1:])
+            assert s.guide.dtype == np.intp and s.guide.shape == (GUIDE_CELLS,)
+            np.testing.assert_array_equal(s.guide, np.where(left == right, left, -1))
+            assert not s.guide.flags.writeable
         if kind == "tenths":
             assert s.cdf[-1] < 1
 
@@ -268,21 +274,27 @@ class TestStreams:
 class TestBlockSeeds:
     """The block hash is numpy's SeedSequence, bit for bit, on blocks of every size."""
 
+    @staticmethod
+    def reference_words(master, rep, tag):
+        return np.random.SeedSequence(stream_seed(master, rep, tag)).generate_state(4, np.uint64).tolist()
+
     @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1, 2**64, 2**64 + 2**32 + 5,
                                         2**100 + 1])
     def test_stream_seeds_are_stream_seed(self, master):
         reps = np.concatenate([[0, 1, 2**32 - 1], np.random.default_rng(master % 97).integers(0, 2**32, 30)])
-        for tag in TAGS:
-            seeds = stream_seeds(master, reps, tag)
-            assert seeds.dtype == np.uint64
-            assert seeds.tolist() == [stream_seed(master, int(rep), tag) for rep in reps]
-            assert stream_seeds(master, reps[:1], tag).tolist() == seeds[:1].tolist()
+        words = stream_words(master, reps, TAGS)
+        assert words.dtype == np.uint64 and words.shape == (len(TAGS), len(reps), 4)
+        for tag, block in zip(TAGS, words):
+            assert block.tolist() == [self.reference_words(master, int(rep), tag) for rep in reps]
+        assert stream_words(master, reps[:1], TAGS[::-1]).tolist() == words[::-1, :1].tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(master=st.integers(0, 2**96), rep=st.integers(0, 2**32 - 1), tag=st.sampled_from(TAGS))
     def test_random_triples(self, master, rep, tag):
         for reps in ([rep], [rep, 0, rep // 2]):
-            assert stream_seeds(master, reps, tag).tolist() == [stream_seed(master, r, tag) for r in reps]
+            for tags in ([tag], [tag, TASK1_DESIGN, TASK2_DESIGN]):
+                words = stream_words(master, reps, tags)
+                assert words.tolist() == [[self.reference_words(master, r, t) for r in reps] for t in tags]
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_generator_from_the_words_draws_as_default_rng(self, seed):
@@ -295,10 +307,11 @@ class TestBlockSeeds:
 
     @staticmethod
     def check_words(seed):
-        seeds = [seed, 2**64 - 1 - seed]
-        block = sampler.pcg64_words(np.array(seeds, dtype=np.uint64))
-        assert sampler.pcg64_words(np.array(seeds[:1], dtype=np.uint64)).tolist() == block[:1].tolist()
-        for seed, words in zip(seeds, block):
+        # the second hash alone, on seeds below 2**32 too, which numpy hashes as one entropy word
+        seeds = np.array([seed, 2**64 - 1 - seed], dtype=np.uint64)
+        entropy = np.stack([seeds & np.uint64(2**32 - 1), seeds >> np.uint64(32)]).astype(np.uint32)
+        block = np.ascontiguousarray(sampler._seed_sequence_state(entropy, 8).T).view(np.uint64)
+        for seed, words in zip(seeds.tolist(), block):
             assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
             drawn = np.random.Generator(np.random.PCG64(sampler._seed_words_type()(words)))
             reference = np.random.default_rng(seed)
@@ -309,14 +322,15 @@ class TestBlockSeeds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for reps in ([2**32 - 1], [2**32 - 1, 0], [0, 2**32 - 1, 7]):
-                seeds = stream_seeds(2**64 + 2**32 - 1, reps, REGULARIZER_STREAM)
-                sampler.pcg64_words(seeds)
-            sampler.pcg64_words(np.array([2**64 - 1, 0], dtype=np.uint64))
+                stream_words(2**64 + 2**32 - 1, reps, TAGS)
+                stream_words(2**32 - 1, reps, [REGULARIZER_STREAM])
+            sampler._seed_sequence_state(np.array([[2**32 - 1, 0], [2**32 - 1, 0]], dtype=np.uint32), 8)
 
     def test_empty_block(self):
-        assert stream_seeds(3, [], TASK1_DESIGN).shape == (0,)
+        assert stream_words(3, [], [TASK1_DESIGN]).shape == (1, 0, 4)
+        assert stream_words(3, [0, 1], []).shape == (0, 2, 4)
 
     @pytest.mark.parametrize("master, reps", [(-1, [0]), (0, [-1]), (0, [2**32])])
     def test_out_of_range_rejected(self, master, reps):
         with pytest.raises(DimensionMismatch):
-            stream_seeds(master, reps, TASK1_DESIGN)
+            stream_words(master, reps, [TASK1_DESIGN])
